@@ -18,14 +18,13 @@ from .core import (
 from .pdhg import (
     PdhgConfig,
     eig_sym,
+    iterates,
     kkt_residuals,
     lambda_max_op,
     min_norm_solution,
-    pdhg_step,
     project_psd,
     solve,
     solve_continuation,
-    warm_start_solve,
 )
 from .sdpa import read_sdpa, write_sdpa
 
@@ -33,10 +32,10 @@ __all__ = [
     "Algo", "ColorState", "Partition", "PdhgConfig", "SdpInstance",
     "SdpxlabError", "SolutionTriple", "SparseSymMatrix", "apply_A",
     "apply_A_adjoint", "constraint_residual", "eig_sym", "init_colors",
-    "kkt_residuals", "lambda_max_op", "min_norm_solution", "objective",
-    "pdhg_step", "project_psd", "quantize_key", "read_sdpa", "refines",
+    "iterates", "kkt_residuals", "lambda_max_op", "min_norm_solution",
+    "objective", "project_psd", "quantize_key", "read_sdpa", "refines",
     "relative_obj_gap", "run_to_stable", "solve", "solve_continuation",
-    "step", "symmetrize", "warm_start_solve", "write_sdpa",
+    "step", "symmetrize", "write_sdpa",
 ]
 
 __version__ = "0.1.0"

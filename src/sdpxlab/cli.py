@@ -1,5 +1,5 @@
 """Single executable wiring all modules: gen, solve, color, nn-forward,
-verify, bench.
+verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
 line-oriented ``key=value`` pairs on stdout; ``--json`` flags write
@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +19,7 @@ from . import verify
 from .colors import Algo, run_to_stable
 from .core import SdpxlabError, SolutionTriple
 from .nn import Arch, decode, forward
-from .pdhg import PdhgConfig, solve, solve_continuation, warm_start_solve
+from .pdhg import PdhgConfig, solve, solve_continuation
 from .relaxations import (
     er_graph,
     lmi_sdp,
@@ -111,11 +108,6 @@ def _build_parser() -> _CliParser:
     p.add_argument("--case", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", dest="json_out", default=None)
-
-    p = sub.add_parser("bench", help="cold vs warm solves over sizes")
-    p.add_argument("--problem", default="maxcut", choices=["maxcut"])
-    p.add_argument("--sizes", default="10,20,40")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -149,27 +141,39 @@ def _solution_payload(triple: SolutionTriple, stats) -> dict:
     return payload
 
 
+def _read_warm_start(path: str, inst):
+    """(X0, y0) from a ``solve --json`` file; y0 is None when absent."""
+    try:
+        data = json.loads(Path(path).read_text())
+        X0 = np.asarray(data["X"], dtype=np.float64)
+        y0 = None if "y" not in data else np.asarray(data["y"], dtype=np.float64)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit2(
+            f"bad warm-start file {path}: {type(exc).__name__}: {exc}") from None
+    n, m = inst.n, inst.m
+    if X0.shape != (n, n) or (y0 is not None and y0.shape != (m,)):
+        raise SystemExit2(
+            f"warm-start file {path}: X must be {n}x{n} and y of length {m}")
+    if not (np.all(np.isfinite(X0)) and (y0 is None or np.all(np.isfinite(y0)))):
+        raise SystemExit2(f"warm-start file {path}: non-finite X or y")
+    return X0, y0
+
+
 def _cmd_solve(args) -> int:
     if args.tol <= 0 or args.max_iters < 1:
         raise SystemExit2("--tol must be > 0 and --max-iters >= 1")
     inst = _read_instance(args.file)
     cfg = PdhgConfig(eps=args.eps if args.eps is not None else 1e-6,
                      tol=args.tol, max_iters=args.max_iters)
-    if args.warm_start:
-        p = Path(args.warm_start)
-        if not p.exists():
-            raise SystemExit2(f"warm-start file not found: {args.warm_start}")
-        data = json.loads(p.read_text())
-        X0 = np.array(data["X"])
-        y0 = np.array(data.get("y", np.zeros(inst.m)))
-        triple, stats = warm_start_solve(inst, X0, y0, cfg)
-    elif args.eps is None:
+    if not args.warm_start and args.eps is None:
         triple, stages = solve_continuation(inst, cfg)
         stats = stages[-1]
         stats.iterations = sum(s.iterations for s in stages)
         stats.converged = all(s.converged for s in stages)
     else:
-        triple, stats = solve(inst, cfg)
+        X0, y0 = (_read_warm_start(args.warm_start, inst) if args.warm_start
+                  else (None, None))
+        triple, stats = solve(inst, cfg, X0=X0, y0=y0)
     _kv(event="solve", file=args.file, iterations=stats.iterations,
         converged=str(stats.converged).lower(),
         objective=f"{stats.objective:.12g}",
@@ -219,27 +223,13 @@ def _cmd_nn(args) -> int:
     return 0
 
 
-def _threads() -> int:
-    raw = os.environ.get("SDPXLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _cmd_verify(args) -> int:
     case_ids = verify.CASE_IDS if args.case is None else (args.case,)
     for cid in case_ids:
         if cid not in verify.CASE_IDS:
             raise SystemExit2(
                 f"unknown case {cid!r}; known: {', '.join(verify.CASE_IDS)}")
-    workers = min(_threads(), len(case_ids))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(lambda c: verify.run_case(c, args.seed), case_ids))
-    else:
-        grouped = [verify.run_case(c, args.seed) for c in case_ids]
-    reports = [r for group in grouped for r in group]
+    reports = [r for cid in case_ids for r in verify.run_case(cid, args.seed)]
     for r in reports:
         _kv(event="case", case=r.case_id, **{"pass": str(r.passed).lower()})
     ok = all(r.passed for r in reports)
@@ -248,36 +238,12 @@ def _cmd_verify(args) -> int:
     return 0 if ok else VERIFY_FAILURE
 
 
-def _cmd_bench(args) -> int:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
-    except ValueError:
-        raise SystemExit2(f"bad --sizes value: {args.sizes!r}") from None
-    rng = np.random.default_rng(args.seed)
-    for size in sizes:
-        inst = maxcut_sdp(er_graph(size, 0.3, args.seed + size))
-        cfg = PdhgConfig()
-        t0 = time.perf_counter()
-        triple, stats = solve(inst, cfg)
-        cold_time = time.perf_counter() - t0
-        noise = rng.standard_normal(triple.X.shape)
-        X0 = triple.X + 1e-3 * (noise + noise.T) / 2.0
-        t0 = time.perf_counter()
-        _, wstats = warm_start_solve(inst, X0, triple.y, cfg)
-        warm_time = time.perf_counter() - t0
-        _kv(event="bench", problem=args.problem, size=size,
-            cold_iters=stats.iterations, cold_seconds=f"{cold_time:.3f}",
-            warm_iters=wstats.iterations, warm_seconds=f"{warm_time:.3f}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         handler = {"gen": _cmd_gen, "solve": _cmd_solve, "color": _cmd_color,
-                   "nn-forward": _cmd_nn, "verify": _cmd_verify,
-                   "bench": _cmd_bench}[args.command]
+                   "nn-forward": _cmd_nn, "verify": _cmd_verify}[args.command]
         return handler(args)
     except SystemExit2 as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ construction.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -41,6 +42,10 @@ class SdpaParseError(SdpxlabError, ValueError):
 
 class UnsupportedFormatError(SdpxlabError, ValueError):
     """Input uses a feature outside the supported SDPA subset."""
+
+
+class NonFiniteError(SdpxlabError, ValueError):
+    """Instance data contains nan or inf."""
 
 
 class NumericalError(SdpxlabError, RuntimeError):
@@ -115,7 +120,10 @@ class SparseSymMatrix:
                 i, j = j, i
             if (i, j) in seen:
                 raise ShapeError(f"duplicate coordinate ({i},{j})")
-            seen[(i, j)] = float(v)
+            v = float(v)
+            if not math.isfinite(v):
+                raise NonFiniteError(f"non-finite value {v} at ({i},{j})")
+            seen[(i, j)] = v
         kept = sorted((ij, v) for ij, v in seen.items() if quantize_key(v) != ZERO_KEY)
         rows = np.array([ij[0] for ij, _ in kept], dtype=np.int64)
         cols = np.array([ij[1] for ij, _ in kept], dtype=np.int64)
@@ -182,6 +190,8 @@ class SdpInstance:
         self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
         if len(self.b) != len(self.A):
             raise ShapeError(f"|b|={len(self.b)} but m={len(self.A)}")
+        if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.b))):
+            raise NonFiniteError("C and b must be finite")
         self.C.flags.writeable = False
         self.b.flags.writeable = False
 

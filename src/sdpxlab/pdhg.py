@@ -3,18 +3,24 @@
 The iteration alternates a projected primal step and an extrapolated dual
 ascent step,
 
-    X <- Proj_PSD[ (X - a*(A*(y) + C)) / (1 + a*eps) ]
-    y <- y + b*( A(X' + theta (X' - X)) - b_rhs ),
+    X' <- Proj_PSD[ (X - a*(A*(y) + C)) / (1 + a*eps) ]
+    y  <- y + b*( A(X' + (X' - X)) - b_rhs ),
 
-with constant step sizes a*b = rho / lambda_max(A*A), rho < 1, primal
-first.  Minimum-Frobenius-norm solutions are obtained by warm-started
-continuation over a shrinking regularization ladder.
+with constant step sizes a = 1/sqrt(lambda_max(A*A)) and
+a*b = rho / lambda_max, rho < 1, primal first.  ``iterates`` is the one
+implementation of this update: ``solve`` adds stopping rules to it, and
+the trajectory check in ``verify`` inspects its iterates directly.
+``solve(inst, cfg, X0=, y0=)`` warm-starts from a given primal/dual pair.
+Minimum-Frobenius-norm solutions are obtained by warm-started continuation
+over a shrinking regularization ladder.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -31,42 +37,33 @@ from .core import (
 )
 
 EPS_LADDER = (1e-2, 1e-4, 1e-6)
+RHO = 0.9  # fraction of the step-size stability bound a*b*lambda_max < 1 in use
 
 
 @dataclass(frozen=True)
 class PdhgConfig:
-    """Step-size and stopping parameters.
-
-    ``alpha=None`` picks 1/sqrt(lambda_max) at solve time; ``safety`` is
-    the fraction rho of the step-size stability bound actually used.
-    """
+    """Regularization weight and stopping parameters."""
 
     eps: float = 1e-6
-    alpha: float | None = None
-    safety: float = 0.9
-    theta: float = 1.0
     tol: float = 1e-6
     max_iters: int = 20000
-    eig_tol: float = 1e-8
 
     def validate(self):
         if self.eps < 0:
             raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
-        if not 0 < self.safety < 1:
-            raise ValueError(f"safety fraction must be in (0,1), got {self.safety}")
-        if self.tol <= 0 or self.max_iters < 1 or self.eig_tol <= 0:
-            raise ValueError("tol, eig_tol must be > 0 and max_iters >= 1")
+        if self.tol <= 0 or self.max_iters < 1:
+            raise ValueError("tol must be > 0 and max_iters >= 1")
 
 
 @dataclass(frozen=True)
 class PdhgState:
+    """Iterate after step ``t``, with its primal and relative step residuals."""
+
     X: np.ndarray
     y: np.ndarray
     t: int
-    primal_res: float = math.inf
-    step_res: float = math.inf
+    primal_res: float
+    step_res: float
 
 
 @dataclass
@@ -77,11 +74,6 @@ class PdhgStats:
     dual_res: float
     step_res: float
     objective: float
-    alpha: float
-    beta: float
-    lambda_max: float
-    cold_start_iterations: int | None = None
-    history: list[float] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,6 +143,9 @@ def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
             if nrm == 0.0:
                 break  # start was orthogonal to the range; restart
             new_lam = float(np.einsum("ij,ij->", M, T))
+            if not math.isfinite(new_lam):
+                raise NumericalError(f"operator norm estimate is {new_lam}; "
+                                     "constraint coefficients too large")
             M = T / nrm
             if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
                 return new_lam
@@ -160,91 +155,84 @@ def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
     raise NumericalError("power iteration kept collapsing to zero")
 
 
-def _steps(inst: SdpInstance, cfg: PdhgConfig) -> tuple[float, float, float]:
+def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
+             ) -> Iterator[PdhgState]:
+    """Yield the PDHG iterate after each step, without end, from (X0, y0).
+
+    The step sizes are computed once, from lambda_max of A*A.  ``X0``
+    (default zero) is projected onto the PSD cone first and ``y0`` defaults
+    to zero.  The first ``next`` raises ``ShapeError`` for a start of the
+    wrong shape; any step raises ``DivergenceError`` on a non-finite iterate.
+    """
+    n, m = inst.n, inst.m
+    X = np.zeros((n, n)) if X0 is None else np.asarray(X0, dtype=np.float64)
+    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=np.float64)
+    if X.shape != (n, n) or y.shape != (m,):
+        raise ShapeError(f"start (X0, y0) has shapes {X.shape}, {y.shape}; "
+                         f"expected {(n, n)}, {(m,)}")
+    if X0 is not None:
+        X = project_psd(X)
     lam = lambda_max_op(inst)
-    alpha = cfg.alpha if cfg.alpha is not None else 1.0 / math.sqrt(lam)
-    beta = cfg.safety / (alpha * lam)
-    # step-size stability condition: alpha*beta*lambda_max = rho < 1
-    assert alpha * beta * lam < 1.0
-    return alpha, beta, lam
+    alpha = 1.0 / math.sqrt(lam)
+    beta = RHO / (alpha * lam)
+    t = 0
+    while True:
+        t += 1
+        Z = (X - alpha * (apply_A_adjoint(inst, y) + inst.C)) / (1.0 + alpha * eps)
+        if not np.all(np.isfinite(Z)):
+            raise DivergenceError(f"non-finite iterate at t={t}")
+        Xn = project_psd(Z)
+        yn = y + beta * (apply_A(inst, Xn + (Xn - X)) - inst.b)
+        if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(yn))):
+            raise DivergenceError(f"non-finite iterate at t={t}")
+        step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
+        primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if m else 0.0
+        X, y = Xn, yn
+        yield PdhgState(X=X, y=y, t=t, primal_res=primal, step_res=step_res)
 
 
-def pdhg_step(state: PdhgState, inst: SdpInstance, cfg: PdhgConfig) -> PdhgState:
-    """One primal-then-dual update with the configured step sizes."""
-    cfg.validate()
-    alpha, beta, _ = _steps(inst, cfg)
-    return _step_inner(state, inst, cfg, alpha, beta)
-
-
-def _step_inner(state, inst, cfg, alpha, beta) -> PdhgState:
-    X, y = state.X, state.y
-    Z = (X - alpha * (apply_A_adjoint(inst, y) + inst.C)) / (1.0 + alpha * cfg.eps)
-    if not np.all(np.isfinite(Z)):
-        raise DivergenceError(f"non-finite iterate at t={state.t + 1}")
-    Xn = project_psd(Z)
-    W = Xn + cfg.theta * (Xn - X)
-    yn = y + beta * (apply_A(inst, W) - inst.b)
-    if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(yn))):
-        raise DivergenceError(f"non-finite iterate at t={state.t + 1}")
-    step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
-    primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if inst.m else 0.0
-    return PdhgState(X=Xn, y=yn, t=state.t + 1, primal_res=primal, step_res=step_res)
-
-
-def _dual_residual(inst: SdpInstance, X, y, eps: float) -> float:
-    S = inst.C + eps * X + apply_A_adjoint(inst, y)
-    return float(np.linalg.norm(S - project_psd(S)))
+def _dual_and_gap(X, S) -> tuple[float, float]:
+    """Distance of the slack S from the PSD cone, and the gap |<X, S>|."""
+    return (float(np.linalg.norm(S - project_psd(S))),
+            abs(float(np.einsum("ij,ij->", X, S))))
 
 
 def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
           X0: np.ndarray | None = None, y0: np.ndarray | None = None,
-          record_history: bool = False, kkt_stop: bool = False
-          ) -> tuple[SolutionTriple, PdhgStats]:
+          kkt_stop: bool = False) -> tuple[SolutionTriple, PdhgStats]:
     """Iterate until primal, dual and step residuals all fall below tol.
 
-    On iteration exhaustion the best iterate is returned with
-    ``converged=False`` (no exception).  ``kkt_stop`` additionally
-    requires the complementarity gap |<X, C + A*(y)>| <= tol, used by the
-    final continuation stage.
+    ``X0`` and ``y0`` warm-start the iteration as in ``iterates``.  On
+    iteration exhaustion the last iterate is returned with
+    ``converged=False`` (no exception).  The dual residual is the distance
+    of the slack S = C + eps*X + A*(y) from the PSD cone.  ``kkt_stop``
+    additionally requires the complementarity gap |<X, S>| <= tol, used by
+    the final, unregularized continuation stage.
     """
     cfg = cfg or PdhgConfig()
     cfg.validate()
-    alpha, beta, lam = _steps(inst, cfg)
-    X = np.zeros((inst.n, inst.n)) if X0 is None else project_psd(symmetrize(X0))
-    y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
-    if len(y) != inst.m:
-        raise ShapeError(f"|y0|={len(y)} but m={inst.m}")
-    state = PdhgState(X=X, y=y, t=0)
-    history: list[float] | None = [] if record_history else None
     running_min = math.inf
     converged = False
     dual = math.inf
-    for _ in range(cfg.max_iters):
-        state = _step_inner(state, inst, cfg, alpha, beta)
-        if history is not None:
-            history.append(state.primal_res)
+    for state in islice(iterates(inst, cfg.eps, X0, y0), cfg.max_iters):
         running_min = min(running_min, state.primal_res)
         if state.primal_res > 1e6 * max(running_min, cfg.tol):
             raise DivergenceError(
                 f"primal residual grew to {state.primal_res:.3e} from running "
                 f"minimum {running_min:.3e} at t={state.t}")
         if state.primal_res <= cfg.tol and state.step_res <= cfg.tol:
-            dual = _dual_residual(inst, state.X, state.y, cfg.eps)
-            if dual <= cfg.tol:
-                if not kkt_stop:
-                    converged = True
-                    break
-                S = inst.C + apply_A_adjoint(inst, state.y)
-                if abs(float(np.einsum("ij,ij->", state.X, S))) <= cfg.tol:
-                    converged = True
-                    break
+            S = inst.C + cfg.eps * state.X + apply_A_adjoint(inst, state.y)
+            dual, gap = _dual_and_gap(state.X, S)
+            if dual <= cfg.tol and (not kkt_stop or gap <= cfg.tol):
+                converged = True
+                break
     if math.isinf(dual):
-        dual = _dual_residual(inst, state.X, state.y, cfg.eps)
+        S = inst.C + cfg.eps * state.X + apply_A_adjoint(inst, state.y)
+        dual, _ = _dual_and_gap(state.X, S)
     stats = PdhgStats(
         iterations=state.t, converged=converged, primal_res=state.primal_res,
         dual_res=dual, step_res=state.step_res,
-        objective=objective(inst, state.X), alpha=alpha, beta=beta,
-        lambda_max=lam, history=history)
+        objective=objective(inst, state.X))
     S = inst.C + apply_A_adjoint(inst, state.y)
     return SolutionTriple(X=state.X, y=state.y, S=S), stats
 
@@ -289,23 +277,4 @@ def kkt_residuals(inst: SdpInstance, X, y) -> tuple[float, float, float]:
     """(primal infeasibility, slack cone distance, complementarity gap)."""
     X = np.asarray(X, dtype=np.float64)
     primal = float(np.max(np.abs(apply_A(inst, X) - inst.b))) if inst.m else 0.0
-    S = inst.C + apply_A_adjoint(inst, y)
-    dual = float(np.linalg.norm(S - project_psd(S)))
-    gap = abs(float(np.einsum("ij,ij->", X, S)))
-    return primal, dual, gap
-
-
-def warm_start_solve(inst: SdpInstance, X0, y0, cfg: PdhgConfig | None = None,
-                     compare_cold: bool = False
-                     ) -> tuple[SolutionTriple, PdhgStats]:
-    """Solve starting from a PSD-projected initial primal and given dual.
-
-    With ``compare_cold`` the same configuration is also run from zero and
-    its iteration count reported in ``stats.cold_start_iterations``.
-    """
-    cfg = cfg or PdhgConfig()
-    triple, stats = solve(inst, cfg, X0=symmetrize(X0), y0=y0)
-    if compare_cold:
-        _, cold = solve(inst, cfg)
-        stats.cold_start_iterations = cold.iterations
-    return triple, stats
+    return (primal, *_dual_and_gap(X, inst.C + apply_A_adjoint(inst, y)))

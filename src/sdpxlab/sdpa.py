@@ -13,6 +13,7 @@ which round-trips float64 exactly.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -48,9 +49,12 @@ def read_sdpa(text: str) -> SdpInstance:
 
     def parse_float(no, tok, what):
         try:
-            return float(tok)
+            v = float(tok)
         except ValueError:
             raise SdpaParseError(no, f"bad {what}: {tok!r}") from None
+        if not math.isfinite(v):
+            raise SdpaParseError(no, f"non-finite {what}: {tok!r}")
+        return v
 
     no, ln = lines[0]
     toks = _clean_split(ln)

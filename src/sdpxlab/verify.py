@@ -10,6 +10,7 @@ an independent oracle or cross-implementation check).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .core import (
     reorder_constraints,
 )
 from .nn import ARCH_TO_ALGO, Arch, decode, forward
-from .pdhg import PdhgConfig, _step_inner, _steps, PdhgState, min_norm_solution
+from .pdhg import PdhgConfig, iterates, min_norm_solution
 from .relaxations import (
     er_graph,
     max2sat_sdp,
@@ -359,11 +360,8 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
     con_groups = [np.nonzero(part.con == cls)[0]
                   for cls in con_ids if np.count_nonzero(part.con == cls) > 1]
     cfg = cfg or PdhgConfig()
-    alpha, beta, _ = _steps(inst, cfg)
-    state = PdhgState(X=np.zeros((inst.n, inst.n)), y=np.zeros(inst.m), t=0)
     worst = 0.0
-    for _ in range(iters):
-        state = _step_inner(state, inst, cfg, alpha, beta)
+    for state in islice(iterates(inst, cfg.eps), iters):
         xf = state.X.reshape(-1)
         bound = 1e-7 * max(1.0, float(np.max(np.abs(state.X))))
         for idx in var_groups:

@@ -4,10 +4,14 @@ Each oracle re-derives a quantity along a different computational path
 than the implementation it checks: eigenvalues by inertia bisection
 instead of LAPACK, solver objectives by a penalty method instead of
 primal-dual iteration, metrics by direct loop evaluation instead of
-vectorized contractions.
+vectorized contractions.  The exception is the reference PDHG loop, a
+copy of the code ``pdhg.iterates`` replaced, kept to check that the
+engine does the same arithmetic bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,3 +144,53 @@ def maxcut_triangle_objective() -> float:
         if val < best:
             best = val
     return best
+
+
+def reference_iterates(inst, eps: float, X0=None, y0=None):
+    """The PDHG loop as it stood before ``pdhg.iterates`` replaced it:
+    step sizes alpha = 1/sqrt(lambda_max), beta = 0.9/(alpha*lambda_max),
+    extrapolation weight theta = 1.  Yields (X, y, primal_res, step_res)
+    after each step; ``pdhg.iterates`` must match it bit for bit."""
+    from sdpxlab.core import apply_A, apply_A_adjoint, symmetrize
+    from sdpxlab.pdhg import lambda_max_op, project_psd
+
+    lam = lambda_max_op(inst)
+    alpha = 1.0 / math.sqrt(lam)
+    beta = 0.9 / (alpha * lam)
+    theta = 1.0
+    X = np.zeros((inst.n, inst.n)) if X0 is None else project_psd(symmetrize(X0))
+    y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
+    while True:
+        Z = (X - alpha * (apply_A_adjoint(inst, y) + inst.C)) / (1.0 + alpha * eps)
+        Xn = project_psd(Z)
+        W = Xn + theta * (Xn - X)
+        yn = y + beta * (apply_A(inst, W) - inst.b)
+        step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
+        primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if inst.m else 0.0
+        X, y = Xn, yn
+        yield X, y, primal, step_res
+
+
+def reference_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
+                    max_iters: int = 20000, X0=None, y0=None,
+                    kkt_stop: bool = False):
+    """The stopping rules of ``pdhg.solve`` as they stood before it ran on
+    ``pdhg.iterates``, around ``reference_iterates``.  Returns
+    (X, y, iterations, converged)."""
+    from sdpxlab.core import apply_A_adjoint
+    from sdpxlab.pdhg import project_psd
+
+    converged = False
+    t = 0
+    for X, y, primal, step_res in reference_iterates(inst, eps, X0, y0):
+        t += 1
+        if primal <= tol and step_res <= tol:
+            S = inst.C + eps * X + apply_A_adjoint(inst, y)
+            if float(np.linalg.norm(S - project_psd(S))) <= tol:
+                S = inst.C + apply_A_adjoint(inst, y)
+                if not kkt_stop or abs(float(np.einsum("ij,ij->", X, S))) <= tol:
+                    converged = True
+                    break
+        if t == max_iters:
+            break
+    return X, y, t, converged

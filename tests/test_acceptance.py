@@ -8,7 +8,7 @@ import numpy as np
 from sdpxlab.auxgraph import aux_graph_stable
 from sdpxlab.colors import Algo, run_to_stable
 from sdpxlab.core import objective
-from sdpxlab.pdhg import PdhgConfig, kkt_residuals, solve, solve_continuation, warm_start_solve
+from sdpxlab.pdhg import PdhgConfig, kkt_residuals, solve, solve_continuation
 from sdpxlab.relaxations import er_graph, maxcut_sdp
 from sdpxlab.sdpa import read_sdpa, write_sdpa
 from sdpxlab.verify import (
@@ -145,7 +145,7 @@ def test_08_warm_start_effect():
         triple, cold = solve(inst)
         noise = rng.standard_normal((inst.n, inst.n))
         X0 = triple.X + 1e-3 * (noise + noise.T) / 2.0
-        _, warm = warm_start_solve(inst, X0, triple.y)
+        _, warm = solve(inst, X0=X0, y0=triple.y)
         if warm.iterations < cold.iterations:
             wins += 1
     _report("warm-start-effect", wins == 10, time.monotonic() - t0, 120,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdpxlab.core import (
+    NonFiniteError,
     SdpInstance,
     ShapeError,
     SizeGuardError,
@@ -149,3 +150,24 @@ def test_instance_validation():
         SdpInstance(n=3, C=np.eye(3), A=prop32().A, b=[1.0])
     with pytest.raises(ShapeError):
         SdpInstance(n=2, C=np.eye(2), A=prop32().A, b=[1.0, 1.0])
+
+
+def test_non_finite_data_rejected():
+    with pytest.raises(NonFiniteError):
+        SparseSymMatrix.from_coords(2, [(0, 1, np.nan)])
+    with pytest.raises(NonFiniteError):
+        SparseSymMatrix.from_coords(2, [(0, 0, np.inf)])
+    A = prop32().A
+    with pytest.raises(NonFiniteError):
+        SdpInstance(n=3, C=np.diag([1.0, np.nan, 1.0]), A=A, b=[1.0, 1.0])
+    with pytest.raises(NonFiniteError):
+        SdpInstance(n=3, C=np.eye(3), A=A, b=[1.0, -np.inf])
+
+
+def test_package_exports_resolve():
+    import sdpxlab
+
+    assert all(hasattr(sdpxlab, name) for name in sdpxlab.__all__)
+    namespace: dict = {}
+    exec("from sdpxlab import *", namespace)
+    assert set(sdpxlab.__all__) <= set(namespace)

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,28 +9,33 @@ from sdpxlab.core import (
     DivergenceError,
     NumericalError,
     SdpInstance,
+    ShapeError,
     SparseSymMatrix,
     objective,
     symmetrize,
 )
 from sdpxlab.pdhg import (
+    EPS_LADDER,
+    RHO,
     PdhgConfig,
-    PdhgState,
     eig_sym,
+    iterates,
     kkt_residuals,
     lambda_max_op,
     min_norm_solution,
-    pdhg_step,
     project_psd,
     solve,
     solve_continuation,
-    warm_start_solve,
-    _step_inner,
-    _steps,
 )
 from sdpxlab.relaxations import er_graph, maxcut_sdp
+from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance
 
-from oracles import bisection_eigvals, penalty_objective
+from oracles import (
+    bisection_eigvals,
+    penalty_objective,
+    reference_iterates,
+    reference_solve,
+)
 from test_verify import prop32
 
 
@@ -107,6 +114,16 @@ def test_lambda_max_examples():
         lambda_max_op(zero)
 
 
+def test_lambda_max_rejects_overflow():
+    # |A|^2 = 1e400 overflows: a typed error, not a bare assert or NaNs
+    inst = SdpInstance(n=2, C=np.eye(2),
+                       A=(SparseSymMatrix.from_coords(2, [(0, 0, 1e200)]),), b=[1.0])
+    with pytest.raises(NumericalError):
+        lambda_max_op(inst)
+    with pytest.raises(NumericalError):
+        solve(inst)
+
+
 def test_lambda_max_against_gram():
     for seed in range(5):
         inst = maxcut_sdp(er_graph(6, 0.6, seed))
@@ -123,29 +140,70 @@ def test_pdhg_step_fixed_point_at_zero_data():
     inst = SdpInstance(n=2, C=np.zeros((2, 2)),
                        A=(SparseSymMatrix.from_coords(2, [(0, 0, 1.0)]),),
                        b=[0.0])
-    state = PdhgState(X=np.zeros((2, 2)), y=np.zeros(1), t=0)
-    nxt = pdhg_step(state, inst, PdhgConfig())
+    nxt = next(iterates(inst, 1e-6))
     np.testing.assert_array_equal(nxt.X, np.zeros((2, 2)))
     np.testing.assert_array_equal(nxt.y, np.zeros(1))
 
 
 def test_pdhg_step_hand_trace():
-    inst = one_dim()
-    cfg = PdhgConfig(eps=0.0, alpha=0.5)
-    state = PdhgState(X=np.zeros((1, 1)), y=np.zeros(1), t=0)
-    nxt = pdhg_step(state, inst, cfg)
-    beta = cfg.safety / (0.5 * 1.0)
+    # lambda_max = 1, so alpha = 1 and beta = RHO: X stays 0 since C > 0
+    nxt = next(iterates(one_dim(), 0.0))
+    assert nxt.t == 1
     assert nxt.X[0, 0] == 0.0
-    assert nxt.y[0] == pytest.approx(-beta)
+    assert nxt.y[0] == pytest.approx(-0.9)
 
 
 def test_pdhg_step_rejects_nonfinite():
-    inst = one_dim()
-    cfg = PdhgConfig()
-    alpha, beta, _ = _steps(inst, cfg)
-    state = PdhgState(X=np.array([[np.inf]]), y=np.zeros(1), t=0)
     with pytest.raises(DivergenceError):
-        _step_inner(state, inst, cfg, alpha, beta)
+        next(iterates(one_dim(), 1e-6, X0=np.array([[np.inf]])))
+
+
+def test_iterates_rejects_wrong_shapes():
+    inst = maxcut_sdp(er_graph(4, 1.0, 0))
+    with pytest.raises(ShapeError):
+        next(iterates(inst, 1e-6, X0=np.zeros((3, 3))))
+    with pytest.raises(ShapeError):
+        next(iterates(inst, 1e-6, y0=np.zeros(3)))
+    with pytest.raises(ShapeError):
+        solve(inst, X0=np.zeros((5, 5)))
+
+
+def _engine_instances():
+    return [prop_diag_pair_instance(), latin_square_instance(),
+            maxcut_sdp(er_graph(8, 0.5, 3))]
+
+
+def test_iterates_match_reference_loop():
+    for inst in _engine_instances():
+        steps = zip(islice(iterates(inst, 1e-6), 200),
+                    reference_iterates(inst, 1e-6))
+        for state, (X, y, primal, step_res) in steps:
+            np.testing.assert_array_equal(state.X, X)
+            np.testing.assert_array_equal(state.y, y)
+            assert (state.primal_res, state.step_res) == (primal, step_res)
+        assert state.t == 200
+
+
+def test_solve_matches_reference_loop():
+    for inst in _engine_instances():
+        triple, stats = solve(inst)
+        X, y, iters, converged = reference_solve(inst)
+        assert (stats.iterations, stats.converged) == (iters, converged)
+        np.testing.assert_array_equal(triple.X, X)
+        np.testing.assert_array_equal(triple.y, y)
+
+
+def test_continuation_matches_reference_loop():
+    # every stage, including the warm starts and the unregularized KKT stop
+    inst = prop_diag_pair_instance()
+    triple, stages = solve_continuation(inst)
+    ladder = [(eps, False) for eps in EPS_LADDER] + [(0.0, True)]
+    X = y = None
+    for stats, (eps, polish) in zip(stages, ladder):
+        X, y, iters, converged = reference_solve(
+            inst, eps, tol=max(1e-6, eps * 1e-2), X0=X, y0=y, kkt_stop=polish)
+        assert (stats.iterations, stats.converged) == (iters, converged)
+    np.testing.assert_array_equal(triple.X, X)
 
 
 def test_solve_one_dim():
@@ -180,11 +238,9 @@ def test_unbounded_instance_reports_not_converged():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        PdhgConfig(safety=1.5).validate()
-    with pytest.raises(ValueError):
         PdhgConfig(eps=-1.0).validate()
     with pytest.raises(ValueError):
-        PdhgConfig(alpha=0.0).validate()
+        PdhgConfig(tol=0.0).validate()
 
 
 # --- minimum-norm continuation -------------------------------------------
@@ -243,16 +299,16 @@ def test_min_norm_divergence_reports_stage(monkeypatch):
 def test_warm_start_at_solution_is_instant():
     inst = maxcut_sdp(er_graph(8, 0.5, 4))
     triple, _ = solve(inst)
-    _, stats = warm_start_solve(inst, triple.X, triple.y)
+    _, stats = solve(inst, X0=triple.X, y0=triple.y)
     assert stats.iterations <= 5
 
 
 def test_warm_start_at_zero_equals_cold():
     inst = maxcut_sdp(er_graph(8, 0.5, 4))
-    _, cold = solve(inst)
-    _, stats = warm_start_solve(inst, np.zeros((8, 8)), np.zeros(8),
-                                compare_cold=True)
-    assert stats.iterations == cold.iterations == stats.cold_start_iterations
+    cold_triple, cold = solve(inst)
+    triple, stats = solve(inst, X0=np.zeros((8, 8)), y0=np.zeros(8))
+    assert stats.iterations == cold.iterations
+    np.testing.assert_array_equal(triple.X, cold_triple.X)
 
 
 def test_warm_start_beats_cold_smoke():
@@ -262,21 +318,23 @@ def test_warm_start_beats_cold_smoke():
         triple, cold = solve(inst)
         noise = rng.standard_normal((8, 8))
         X0 = triple.X + 1e-3 * symmetrize(noise)
-        _, warm = warm_start_solve(inst, X0, triple.y)
+        _, warm = solve(inst, X0=X0, y0=triple.y)
         assert warm.iterations < cold.iterations
 
 
 def test_primal_residual_trend_is_monotone_smoke():
     inst = maxcut_sdp(er_graph(8, 0.5, 3))
-    _, stats = solve(inst, PdhgConfig(tol=1e-10, max_iters=2000),
-                     record_history=True)
-    hist = stats.history
     k = 20
+    hist = [s.primal_res for s in islice(iterates(inst, 1e-6), 10 * k)]
     assert hist[10 * k - 1] <= hist[k - 1]
 
 
 def test_step_size_relation_holds():
-    inst = maxcut_sdp(er_graph(6, 0.5, 5))
-    cfg = PdhgConfig()
-    _, stats = solve(inst, cfg, X0=None, y0=None)
-    assert stats.alpha * stats.beta * stats.lambda_max == pytest.approx(cfg.safety)
+    # A = 2 on n = 1: lambda_max = 4.  From zero with C = 0 the first step
+    # gives y = -beta and the second X = 2*alpha*beta, so
+    # alpha*beta*lambda_max = 2*X
+    inst = SdpInstance(n=1, C=[[0.0]],
+                       A=(SparseSymMatrix.from_coords(1, [(0, 0, 2.0)]),), b=[1.0])
+    first, second = islice(iterates(inst, 0.0), 2)
+    assert first.y[0] == pytest.approx(-RHO / 2)      # beta = RHO/(alpha*lambda)
+    assert 2 * second.X[0, 0] == pytest.approx(RHO)

@@ -96,6 +96,16 @@ def test_parse_errors_carry_line_numbers():
         read_sdpa("2\n1\n2\n1.0\n")  # rhs count mismatch
 
 
+@pytest.mark.parametrize("tok", ["nan", "inf", "-inf", "1e999"])
+def test_non_finite_values_rejected_with_line_number(tok):
+    with pytest.raises(SdpaParseError) as err:
+        read_sdpa(HAND_FIXTURE.replace("1 1 1 1 1.0", f"1 1 1 1 {tok}"))
+    assert err.value.line_no == 7
+    with pytest.raises(SdpaParseError) as err:
+        read_sdpa(HAND_FIXTURE.replace("2\n1.0\n", f"2\n{tok}\n"))
+    assert err.value.line_no == 5
+
+
 def test_negative_block_rejected():
     with pytest.raises(UnsupportedFormatError):
         read_sdpa("1\n1\n-3\n1.0\n")
