@@ -17,7 +17,6 @@ from .core import (
 )
 from .pdhg import (
     PdhgConfig,
-    eig_sym,
     iterates,
     kkt_residuals,
     lambda_max_op,
@@ -31,7 +30,7 @@ from .sdpa import read_sdpa, write_sdpa
 __all__ = [
     "Algo", "ColorState", "Partition", "PdhgConfig", "SdpInstance",
     "SdpxlabError", "SolutionTriple", "SparseSymMatrix", "apply_A",
-    "apply_A_adjoint", "constraint_residual", "eig_sym", "init_colors",
+    "apply_A_adjoint", "constraint_residual", "init_colors",
     "iterates", "kkt_residuals", "lambda_max_op", "min_norm_solution",
     "objective", "project_psd", "quantize_key", "read_sdpa", "refines",
     "relative_obj_gap", "run_to_stable", "solve", "solve_continuation",

@@ -302,9 +302,7 @@ def permute_instance(inst: SdpInstance, perm) -> SdpInstance:
     if sorted(perm) != list(range(inst.n)):
         raise ShapeError("not a permutation of range(n)")
     C = np.zeros_like(inst.C)
-    for i in range(inst.n):
-        for j in range(inst.n):
-            C[perm[i], perm[j]] = inst.C[i, j]
+    C[np.ix_(perm, perm)] = inst.C
     A = tuple(
         SparseSymMatrix.from_coords(
             inst.n, [(perm[i], perm[j], v) for i, j, v in ak.coords()])

@@ -10,6 +10,8 @@ with constant step sizes a = 1/sqrt(lambda_max(A*A)) and
 a*b = rho / lambda_max, rho < 1, primal first.  ``iterates`` is the one
 implementation of this update: ``solve`` adds stopping rules to it, and
 the trajectory check in ``verify`` inspects its iterates directly.
+Each step does one eigendecomposition, for the projection; the dual
+residual of the stopping test needs only the eigenvalues of the slack.
 ``solve(inst, cfg, X0=, y0=)`` warm-starts from a given primal/dual pair.
 Minimum-Frobenius-norm solutions are obtained by warm-started continuation
 over a shrinking regularization ladder.
@@ -85,45 +87,19 @@ class PdhgStats:
         }
 
 
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
-
-    eigvals: np.ndarray
-    eigvecs: np.ndarray
-
-
-def eig_sym(M) -> SpectralDecomp:
-    """Full spectral decomposition of a symmetric matrix.
-
-    Backed by LAPACK's symmetric eigensolver; eigenvalues are returned in
-    descending order and each eigenvector's largest-magnitude component is
-    made positive so results are deterministic.
-    """
-    arr = symmetrize(M)
-    try:
-        w, v = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    lead = np.abs(v).argmax(axis=0)
-    signs = np.sign(v[lead, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return SpectralDecomp(eigvals=w, eigvecs=v * signs)
-
-
 def project_psd(M) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: drop negative eigen-pairs."""
     arr = symmetrize(M)
-    if not np.any(arr[~np.eye(arr.shape[0], dtype=bool)]):
-        # diagonal input: clamp in place, exactly
-        return np.diag(np.maximum(np.diag(arr), 0.0))
-    dec = eig_sym(arr)
-    clamped = np.maximum(dec.eigvals, 0.0)
-    out = (dec.eigvecs * clamped) @ dec.eigvecs.T
-    return symmetrize(out)
+    diag = np.diagonal(arr)
+    if np.count_nonzero(arr) == np.count_nonzero(diag):
+        # diagonal input: clamp, exactly
+        return np.diag(np.maximum(diag, 0.0))
+    try:
+        w, V = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    k = np.searchsorted(w, 0.0, side="right")  # w ascends: keep w > 0
+    return symmetrize((V[:, k:] * w[k:]) @ V[:, k:].T)
 
 
 def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
@@ -192,8 +168,16 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
 
 
 def _dual_and_gap(X, S) -> tuple[float, float]:
-    """Distance of the slack S from the PSD cone, and the gap |<X, S>|."""
-    return (float(np.linalg.norm(S - project_psd(S))),
+    """Distance of the slack S from the PSD cone, and the gap |<X, S>|.
+
+    The distance |S - Proj_PSD(S)|_F is the 2-norm of the negative part of
+    S's spectrum, so it needs eigenvalues only.
+    """
+    try:
+        w = np.linalg.eigvalsh(S)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    return (float(np.linalg.norm(np.minimum(w, 0.0))),
             abs(float(np.einsum("ij,ij->", X, S))))
 
 

@@ -621,63 +621,64 @@ def sample_instances(seed: int, per_generator: int, n_lo: int = 4,
     return out
 
 
-CASE_IDS = ("vcwl_fail", "vc2wl_fail", "fwlplus_strict", "incomparable",
-            "delta_strict", "seq_pipeline_fail", "multiset_encoding_fail",
-            "trajectory", "scale_lemma", "hierarchy", "aux_graph",
-            "equivariance", "nn_properties")
+def _trajectory_cases(seed: int) -> list[CaseReport]:
+    reports = [
+        check_trajectory_refinement(prop_diag_pair_instance(),
+                                    case_id="trajectory_diag_pair"),
+        check_trajectory_refinement(latin_square_instance(),
+                                    case_id="trajectory_latin"),
+    ]
+    rng = np.random.default_rng(seed)
+    for idx in range(3):
+        g = er_graph(int(rng.integers(6, 13)), 0.5, int(rng.integers(2 ** 31)))
+        reports.append(check_trajectory_refinement(
+            maxcut_sdp(g), case_id=f"trajectory_maxcut_{idx}"))
+    return reports
+
+
+def _scale_lemma_cases(seed: int) -> list[CaseReport]:
+    reports = [check_scale_lemma(prop_diag_pair_instance(),
+                                 case_id="scale_lemma_diag_pair")]
+    rng = np.random.default_rng(seed)
+    for idx in range(2):
+        g = er_graph(int(rng.integers(5, 9)), 0.6, int(rng.integers(2 ** 31)))
+        reports.append(check_scale_lemma(maxcut_sdp(g),
+                                         case_id=f"scale_lemma_maxcut_{idx}"))
+    return reports
+
+
+# case id -> the case's reports at a seed (some cases expand to a few
+# reports); ``run_all`` runs them in this order
+CASES = {
+    "vcwl_fail": lambda seed: [case_vcwl_fail()],
+    "vc2wl_fail": lambda seed: [case_vc2wl_fail()],
+    "fwlplus_strict": lambda seed: [case_fwlplus_strict()],
+    "incomparable": lambda seed: [case_incomparable()],
+    "delta_strict": lambda seed: [case_delta_strict()],
+    "seq_pipeline_fail": lambda seed: [case_seq_pipeline_fail()],
+    "multiset_encoding_fail": lambda seed: [case_multiset_encoding_fail()],
+    "trajectory": _trajectory_cases,
+    "scale_lemma": _scale_lemma_cases,
+    "hierarchy": lambda seed: [
+        check_hierarchy(sample_instances(seed, per_generator=10))],
+    "aux_graph": lambda seed: [
+        check_aux_graph(sample_instances(seed + 1, per_generator=2,
+                                         n_lo=3, n_hi=8))],
+    "equivariance": lambda seed: [check_color_equivariance(
+        sample_instances(seed + 2, per_generator=1, n_lo=4, n_hi=9), seed)],
+    "nn_properties": lambda seed: [case_nn_properties(
+        sample_instances(seed + 3, per_generator=1, n_lo=4, n_hi=7,
+                         generators=("maxcut", "maxclique")))],
+}
+CASE_IDS = tuple(CASES)
 
 
 def run_case(case_id: str, seed: int = 0) -> list[CaseReport]:
     """Run one named case (some expand to a few reports)."""
-    if case_id == "vcwl_fail":
-        return [case_vcwl_fail()]
-    if case_id == "vc2wl_fail":
-        return [case_vc2wl_fail()]
-    if case_id == "fwlplus_strict":
-        return [case_fwlplus_strict()]
-    if case_id == "incomparable":
-        return [case_incomparable()]
-    if case_id == "delta_strict":
-        return [case_delta_strict()]
-    if case_id == "seq_pipeline_fail":
-        return [case_seq_pipeline_fail()]
-    if case_id == "multiset_encoding_fail":
-        return [case_multiset_encoding_fail()]
-    if case_id == "trajectory":
-        reports = [
-            check_trajectory_refinement(prop_diag_pair_instance(),
-                                        case_id="trajectory_diag_pair"),
-            check_trajectory_refinement(latin_square_instance(),
-                                        case_id="trajectory_latin"),
-        ]
-        rng = np.random.default_rng(seed)
-        for idx in range(3):
-            g = er_graph(int(rng.integers(6, 13)), 0.5, int(rng.integers(2 ** 31)))
-            reports.append(check_trajectory_refinement(
-                maxcut_sdp(g), case_id=f"trajectory_maxcut_{idx}"))
-        return reports
-    if case_id == "scale_lemma":
-        reports = [check_scale_lemma(prop_diag_pair_instance(),
-                                     case_id="scale_lemma_diag_pair")]
-        rng = np.random.default_rng(seed)
-        for idx in range(2):
-            g = er_graph(int(rng.integers(5, 9)), 0.6, int(rng.integers(2 ** 31)))
-            reports.append(check_scale_lemma(maxcut_sdp(g),
-                                             case_id=f"scale_lemma_maxcut_{idx}"))
-        return reports
-    if case_id == "hierarchy":
-        return [check_hierarchy(sample_instances(seed, per_generator=10))]
-    if case_id == "aux_graph":
-        return [check_aux_graph(sample_instances(seed + 1, per_generator=2,
-                                                 n_lo=3, n_hi=8))]
-    if case_id == "equivariance":
-        return [check_color_equivariance(
-            sample_instances(seed + 2, per_generator=1, n_lo=4, n_hi=9), seed)]
-    if case_id == "nn_properties":
-        return [case_nn_properties(
-            sample_instances(seed + 3, per_generator=1, n_lo=4, n_hi=7,
-                             generators=("maxcut", "maxclique")))]
-    raise ValueError(f"unknown case {case_id!r}; known: {', '.join(CASE_IDS)}")
+    case = CASES.get(case_id)
+    if case is None:
+        raise ValueError(f"unknown case {case_id!r}; known: {', '.join(CASE_IDS)}")
+    return case(seed)
 
 
 def run_all(seed: int = 0, case_ids=CASE_IDS) -> tuple[list[CaseReport], bool]:

@@ -4,9 +4,11 @@ Each oracle re-derives a quantity along a different computational path
 than the implementation it checks: eigenvalues by inertia bisection
 instead of LAPACK, solver objectives by a penalty method instead of
 primal-dual iteration, metrics by direct loop evaluation instead of
-vectorized contractions.  The exception is the reference PDHG loop, a
-copy of the code ``pdhg.iterates`` replaced, kept to check that the
-engine does the same arithmetic bit for bit.
+vectorized contractions.  The exceptions are copies of code the library
+replaced, kept to check the replacement against: the reference PDHG loop
+(``pdhg.iterates`` must do the same arithmetic bit for bit), the sorted,
+sign-normalised spectral projection (``pdhg.project_psd``), and the
+entry-by-entry relabeling loop (``core.permute_instance``).
 """
 
 from __future__ import annotations
@@ -194,3 +196,56 @@ def reference_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
         if t == max_iters:
             break
     return X, y, t, converged
+
+
+def reference_eig_sym(M) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvector columns of a symmetric
+    matrix, each column's largest-magnitude component made positive: the
+    decomposition ``pdhg.project_psd`` used before it called ``eigh``
+    directly."""
+    from sdpxlab.core import NumericalError, symmetrize
+
+    arr = symmetrize(M)
+    try:
+        w, v = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed to converge: {exc}") from exc
+    order = np.argsort(-w, kind="stable")
+    w = w[order]
+    v = v[:, order]
+    lead = np.abs(v).argmax(axis=0)
+    signs = np.sign(v[lead, np.arange(v.shape[1])])
+    signs[signs == 0] = 1.0
+    return w, v * signs
+
+
+def reference_project_psd(M) -> np.ndarray:
+    """``pdhg.project_psd`` as it stood before: full sorted decomposition,
+    eigenvalues clamped at zero."""
+    from sdpxlab.core import symmetrize
+
+    arr = symmetrize(M)
+    if not np.any(arr[~np.eye(arr.shape[0], dtype=bool)]):
+        # diagonal input: clamp in place, exactly
+        return np.diag(np.maximum(np.diag(arr), 0.0))
+    eigvals, eigvecs = reference_eig_sym(arr)
+    clamped = np.maximum(eigvals, 0.0)
+    out = (eigvecs * clamped) @ eigvecs.T
+    return symmetrize(out)
+
+
+def loop_permute_instance(inst, perm):
+    """``core.permute_instance`` with C relabeled entry by entry."""
+    from sdpxlab.core import SdpInstance, SparseSymMatrix
+
+    perm = list(perm)
+    C = np.zeros_like(inst.C)
+    for i in range(inst.n):
+        for j in range(inst.n):
+            C[perm[i], perm[j]] = inst.C[i, j]
+    A = tuple(
+        SparseSymMatrix.from_coords(
+            inst.n, [(perm[i], perm[j], v) for i, j, v in ak.coords()])
+        for ak in inst.A)
+    return SdpInstance(n=inst.n, C=C, A=A, b=inst.b.copy(),
+                       metadata=dict(inst.metadata))

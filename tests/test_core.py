@@ -14,13 +14,29 @@ from sdpxlab.core import (
     constraint_rank,
     constraint_residual,
     objective,
+    permute_instance,
     quantize_key,
     relative_obj_gap,
     symmetrize,
 )
-from sdpxlab.relaxations import er_graph, maxcut_sdp
+from sdpxlab.relaxations import (
+    er_graph,
+    lmi_sdp,
+    lp_to_sdp,
+    max2sat_sdp,
+    maxclique_sdp,
+    maxcut_sdp,
+    mis_sdp,
+    random_clauses,
+    vertexcover_sdp,
+)
 
-from oracles import loop_apply_A, loop_constraint_residual, loop_objective
+from oracles import (
+    loop_apply_A,
+    loop_constraint_residual,
+    loop_objective,
+    loop_permute_instance,
+)
 from test_verify import prop32
 
 
@@ -171,3 +187,20 @@ def test_package_exports_resolve():
     namespace: dict = {}
     exec("from sdpxlab import *", namespace)
     assert set(sdpxlab.__all__) <= set(namespace)
+
+
+def test_permute_instance_matches_loop_oracle():
+    rng = np.random.default_rng(11)
+    for seed in range(3):
+        g = er_graph(7, 0.5, seed)
+        instances = [maxcut_sdp(g), maxclique_sdp(g), mis_sdp(g), vertexcover_sdp(g),
+                     max2sat_sdp(random_clauses(5, 10, seed)), lmi_sdp(3, 2, seed),
+                     lp_to_sdp(rng.standard_normal(4), rng.standard_normal((2, 4)),
+                               rng.standard_normal(2))]
+        for inst in instances:
+            perm = rng.permutation(inst.n).tolist()
+            got, ref = permute_instance(inst, perm), loop_permute_instance(inst, perm)
+            np.testing.assert_array_equal(got.C, ref.C)
+            assert got.A == ref.A
+            np.testing.assert_array_equal(got.b, ref.b)
+            assert got.metadata == ref.metadata

@@ -18,7 +18,6 @@ from sdpxlab.pdhg import (
     EPS_LADDER,
     RHO,
     PdhgConfig,
-    eig_sym,
     iterates,
     kkt_residuals,
     lambda_max_op,
@@ -33,7 +32,9 @@ from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance
 from oracles import (
     bisection_eigvals,
     penalty_objective,
+    reference_eig_sym,
     reference_iterates,
+    reference_project_psd,
     reference_solve,
 )
 from test_verify import prop32
@@ -45,35 +46,104 @@ def one_dim(c=1.0, a=1.0, b=1.0):
                        b=[b])
 
 
+def slack_instance(M):
+    """Instance whose slack at y = 0 is C = M (one constraint, A = E_00)."""
+    n = M.shape[0]
+    return SdpInstance(n=n, C=M,
+                       A=(SparseSymMatrix.from_coords(n, [(0, 0, 1.0)]),),
+                       b=[0.0])
+
+
 # --- spectral decomposition and projection -------------------------------
 
-def test_eig_sym_examples():
-    dec = eig_sym(np.diag([3.0, 1.0]))
-    np.testing.assert_allclose(dec.eigvals, [3.0, 1.0])
-    np.testing.assert_allclose(np.abs(dec.eigvecs), np.eye(2), atol=1e-14)
-    dec = eig_sym(np.zeros((3, 3)))
-    np.testing.assert_array_equal(dec.eigvals, np.zeros(3))
+def test_project_psd_diagonal_and_zero_are_exact():
+    np.testing.assert_array_equal(project_psd(np.diag([3.0, 1.0])),
+                                  np.diag([3.0, 1.0]))
+    np.testing.assert_array_equal(project_psd(np.zeros((3, 3))), np.zeros((3, 3)))
 
 
-def test_eig_sym_against_bisection_oracle():
+def test_dual_residual_against_bisection_oracle():
+    # at X = 0, y = 0 the slack is C, and its distance from the PSD cone
+    # is the 2-norm of the negative eigenvalues
     rng = np.random.default_rng(7)
     M = symmetrize(rng.standard_normal((5, 5)))
-    ours = eig_sym(M).eigvals
-    reference = bisection_eigvals(M)[::-1]
-    np.testing.assert_allclose(ours, reference, atol=1e-8)
+    _, dual, _ = kkt_residuals(slack_instance(M), np.zeros((5, 5)), np.zeros(1))
+    lam = bisection_eigvals(M)
+    assert dual == pytest.approx(float(np.sqrt(np.sum(np.minimum(lam, 0.0) ** 2))),
+                                 abs=1e-8)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
-def test_spectral_decomp_invariants(seed):
+def test_reference_eig_sym_invariants(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     M = symmetrize(rng.standard_normal((n, n)) * 5)
-    dec = eig_sym(M)
-    recon = (dec.eigvecs * dec.eigvals) @ dec.eigvecs.T
+    eigvals, eigvecs = reference_eig_sym(M)
+    recon = (eigvecs * eigvals) @ eigvecs.T
     assert np.linalg.norm(recon - M) <= 1e-8 * max(1.0, np.linalg.norm(M))
-    assert np.linalg.norm(dec.eigvecs.T @ dec.eigvecs - np.eye(n)) <= 1e-8
-    assert np.all(np.diff(dec.eigvals) <= 1e-12)
+    assert np.linalg.norm(eigvecs.T @ eigvecs - np.eye(n)) <= 1e-8
+    assert np.all(np.diff(eigvals) <= 1e-12)
+
+
+def _symmetric_case(kind: str, n: int, scale: float, rng) -> np.ndarray:
+    G = rng.standard_normal((n, n))
+    if kind == "psd":
+        M = G @ G.T
+    elif kind == "nsd":
+        M = -(G @ G.T)
+    elif kind == "low_rank":
+        r = int(rng.integers(1, min(n, 3) + 1))
+        B = G[:, :r]
+        M = (B * rng.choice([-1.0, 1.0], size=r)) @ B.T
+    elif kind == "diagonal":
+        M = np.diag(G[0])
+    elif kind == "zero":
+        M = np.zeros((n, n))
+    else:
+        M = G
+    return symmetrize(M * scale)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["general", "psd", "nsd", "low_rank", "diagonal", "zero"]),
+       st.integers(1, 60), st.integers(-3, 3), st.integers(0, 2 ** 32 - 1))
+def test_project_psd_and_dual_residual_match_reference(kind, n, log_scale, seed):
+    M = _symmetric_case(kind, n, 10.0 ** log_scale, np.random.default_rng(seed))
+    tol = 1e-12 * max(1.0, float(np.linalg.norm(M)))
+    R = reference_project_psd(M)
+    assert np.linalg.norm(project_psd(M) - R) <= tol
+    _, dual, _ = kkt_residuals(slack_instance(M), np.zeros((n, n)), np.zeros(1))
+    assert abs(dual - float(np.linalg.norm(M - R))) <= tol
+
+
+def test_solve_does_one_eigendecomposition_per_step(monkeypatch):
+    import sdpxlab.pdhg as pdhg_mod
+
+    calls = {"eigh": 0, "eigvalsh": 0, "eigh_in_stop_test": 0}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    dual_and_gap = pdhg_mod._dual_and_gap
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def stop_test(X, S):
+        before = calls["eigh"]
+        out = dual_and_gap(X, S)
+        calls["eigh_in_stop_test"] += calls["eigh"] - before
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
+    monkeypatch.setattr(pdhg_mod, "_dual_and_gap", stop_test)
+    _, stats = solve(maxcut_sdp(er_graph(8, 0.5, 3)))
+    assert stats.converged
+    assert calls["eigh"] == stats.iterations
+    assert calls["eigvalsh"] >= 1
+    assert calls["eigh_in_stop_test"] == 0
 
 
 def test_project_psd_examples():

@@ -3,6 +3,7 @@ import pytest
 
 from sdpxlab.verify import (
     CASE_IDS,
+    CASES,
     case_delta_strict,
     case_fwlplus_strict,
     case_incomparable,
@@ -109,3 +110,11 @@ def test_run_all_is_deterministic_on_a_subset():
 
 def test_case_ids_unique():
     assert len(set(CASE_IDS)) == len(CASE_IDS)
+
+
+def test_case_table_keys_are_case_ids_in_order():
+    assert tuple(CASES) == CASE_IDS == (
+        "vcwl_fail", "vc2wl_fail", "fwlplus_strict", "incomparable",
+        "delta_strict", "seq_pipeline_fail", "multiset_encoding_fail",
+        "trajectory", "scale_lemma", "hierarchy", "aux_graph",
+        "equivariance", "nn_properties")
