@@ -346,13 +346,13 @@ def joint_encoding_stable(inst: SdpInstance,
         max_rounds = inst.n * inst.n + inst.m + 1
     n = inst.n
     qb = [quantize_key(bk) for bk in inst.b]
-    dense = inst.dense_A
+    cell_nbrs, _ = neighbor_lists(inst)
     sigs = []
-    for i in range(n):
-        for j in range(n):
-            joint = tuple(sorted((quantize_key(dense[k, i, j]), qb[k])
-                                 for k in range(inst.m)))
-            sigs.append((quantize_key(inst.C[i, j]), joint))
+    for cell, lst in enumerate(cell_nbrs):
+        qa = [ZERO_KEY] * inst.m  # constraints absent from the cell hold zero
+        for k, v in lst:
+            qa[k] = quantize_key(v)
+        sigs.append((quantize_key(inst.C[cell // n, cell % n]), tuple(sorted(zip(qa, qb)))))
     var, rounds = _multiset_fwl_stable(_intern(sigs), n, max_rounds)
     pv, pc = canonical_labels(var, qb)
     return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),

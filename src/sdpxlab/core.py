@@ -7,9 +7,10 @@ describing
     minimize    <C, X>
     subject to  <A_k, X> = b_k,  k = 1..m,   X symmetric PSD.
 
-Constraint matrices are kept sparse (coordinate form, upper triangle);
-the objective is dense.  All values are float64 and immutable after
-construction.
+Constraint matrices are kept sparse (coordinate form, upper triangle) and
+read only through one cached flat COO form, ``SdpInstance.coo``; there is
+no dense (m, n, n) tensor.  The objective is dense.  All values are
+float64 and immutable after construction.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ class SparseSymMatrix:
 
 @dataclass(eq=False)
 class SdpInstance:
-    """One linear SDP: dense symmetric C, sparse constraint tensor, rhs b.
+    """One linear SDP: dense symmetric C, sparse constraint matrices, rhs b.
 
     ``metadata`` carries provenance of generated instances (problem family,
     dropped additive constant and sign so objectives map back to the
@@ -200,17 +201,27 @@ class SdpInstance:
         return len(self.A)
 
     @cached_property
-    def dense_A(self) -> np.ndarray:
-        """Constraint tensor as a dense (m, n, n) stack."""
-        out = np.zeros((self.m, self.n, self.n))
-        for k, ak in enumerate(self.A):
-            out[k] = ak.to_dense()
-        out.flags.writeable = False
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only parallel arrays (k, cell = i*n + j, val) of every entry,
+        both triangles expanded, sorted by constraint id, then by cell."""
+        n, A = self.n, self.A
+        k = np.repeat(np.arange(self.m), np.array([len(a.vals) for a in A], dtype=np.int64))
+        i = np.concatenate([np.zeros(0, np.int64), *(a.rows for a in A)])
+        j = np.concatenate([np.zeros(0, np.int64), *(a.cols for a in A)])
+        v = np.concatenate([np.zeros(0), *(a.vals for a in A)])
+        off = i != j
+        k = np.concatenate([k, k[off]])
+        cell = np.concatenate([i * n + j, j[off] * n + i[off]])
+        v = np.concatenate([v, v[off]])
+        order = np.lexsort((cell, k))
+        out = (k[order], cell[order], v[order])
+        for a in out:
+            a.flags.writeable = False
         return out
 
     @property
     def nnz(self) -> int:
-        return sum(ak.nnz for ak in self.A)
+        return len(self.coo[2])
 
     def __eq__(self, other):
         if not isinstance(other, SdpInstance):
@@ -241,7 +252,10 @@ def _check_side(inst: SdpInstance, X: np.ndarray) -> np.ndarray:
 def apply_A(inst: SdpInstance, X) -> np.ndarray:
     """Evaluate the constraint map: component k is <A_k, X>."""
     X = _check_side(inst, X)
-    return np.einsum("kij,ij->k", inst.dense_A, X)
+    k, cell, val = inst.coo
+    # bincount gives int64 on empty input (m = 0, or all entries zero)
+    out = np.bincount(k, val * X.reshape(-1)[cell], minlength=inst.m)
+    return out.astype(np.float64, copy=False)
 
 
 def apply_A_adjoint(inst: SdpInstance, y) -> np.ndarray:
@@ -249,9 +263,9 @@ def apply_A_adjoint(inst: SdpInstance, y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if len(y) != inst.m:
         raise ShapeError(f"|y|={len(y)} but m={inst.m}")
-    if inst.m == 0:
-        return np.zeros((inst.n, inst.n))
-    return np.einsum("k,kij->ij", y, inst.dense_A)
+    k, cell, val = inst.coo
+    out = np.bincount(cell, val * y[k], minlength=inst.n * inst.n)
+    return out.astype(np.float64, copy=False).reshape(inst.n, inst.n)
 
 
 def objective(inst: SdpInstance, X) -> float:
@@ -287,7 +301,9 @@ def constraint_rank(inst: SdpInstance, tol: float = 1e-9) -> int:
         raise SizeGuardError(f"rank diagnostic limited to m <= {RANK_GUARD_M}, got {inst.m}")
     if inst.m == 0:
         return 0
-    v = inst.dense_A.reshape(inst.m, -1)
+    k, cell, val = inst.coo
+    v = np.zeros((inst.m, inst.n * inst.n))
+    v[k, cell] = val
     gram = v @ v.T
     w = np.linalg.eigvalsh(gram)
     return int(np.count_nonzero(w > tol * max(1.0, float(w[-1]))))
@@ -316,13 +332,9 @@ def reorder_constraints(inst: SdpInstance, perm) -> SdpInstance:
     perm = list(perm)
     if sorted(perm) != list(range(inst.m)):
         raise ShapeError("not a permutation of range(m)")
-    A: list = [None] * inst.m
-    b = np.zeros(inst.m)
-    for k in range(inst.m):
-        A[perm[k]] = inst.A[k]
-        b[perm[k]] = inst.b[k]
-    return SdpInstance(n=inst.n, C=inst.C.copy(), A=tuple(A), b=b,
-                       metadata=dict(inst.metadata))
+    old = np.argsort(perm)  # old[p] is the constraint moved to position p
+    return SdpInstance(n=inst.n, C=inst.C.copy(), A=tuple(inst.A[k] for k in old),
+                       b=inst.b[old], metadata=dict(inst.metadata))
 
 
 def neighbor_lists(inst: SdpInstance):
@@ -334,16 +346,9 @@ def neighbor_lists(inst: SdpInstance):
     Membership follows the quantized nonzero pattern (enforced at
     SparseSymMatrix construction).
     """
-    n = inst.n
-    cell_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(n * n)]
+    cell_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(inst.n * inst.n)]
     con_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(inst.m)]
-    for k, ak in enumerate(inst.A):
-        for i, j, v in ak.coords():
-            cell_nbrs[i * n + j].append((k, v))
-            con_nbrs[k].append((i * n + j, v))
-            if i != j:
-                cell_nbrs[j * n + i].append((k, v))
-                con_nbrs[k].append((j * n + i, v))
-    for lst in con_nbrs:
-        lst.sort()
+    for k, cell, v in zip(*(a.tolist() for a in inst.coo)):
+        cell_nbrs[cell].append((k, v))
+        con_nbrs[k].append((cell, v))
     return cell_nbrs, con_nbrs

@@ -203,11 +203,9 @@ def init_embeddings(inst: SdpInstance, d: int, seed: int,
     """Per-cell embedding of (C_ij, diag flag) and per-constraint
     embedding of b_k through the seeded two-layer encoders."""
     if params is None:
-        stream = WeightStream(seed)
-        init_v = Mlp.draw(stream, (2, d, d))
-        init_c = Mlp.draw(stream, (1, d, d))
-    else:
-        init_v, init_c, d = params.init_v, params.init_c, params.d
+        # the encoders are the first draws of every architecture's stream
+        params = build_params(Arch.VCMPNN, d, 0, seed)
+    init_v, init_c, d = params.init_v, params.init_c, params.d
     n = inst.n
     feats = np.zeros((n, n, 2))
     feats[:, :, 0] = _quantized(inst.C)
@@ -240,13 +238,6 @@ def _neighbor_messages(inst, H, hc, lp, d):
         out = msg_vc(np.concatenate([inp, ch], axis=1))
         m_vc[k] = _csum(out, d)
     return m_cv, m_vc
-
-
-def _adj_indicator(inst) -> np.ndarray:
-    from .core import ZERO_KEY, quantize_key
-    n = inst.n
-    return np.array([[0.0 if quantize_key(inst.C[i, j]) == ZERO_KEY else 1.0
-                      for j in range(n)] for i in range(n)])
 
 
 def _ign_message(H: np.ndarray, pars: IgnParams, d: int) -> np.ndarray:
@@ -329,7 +320,7 @@ def layer(arch: Arch, state: EmbeddingState, inst: SdpInstance,
             m_row_ij = np.broadcast_to(m_row[:, None, :], (n, n, d))
             m_col_ij = np.broadcast_to(m_col[None, :, :], (n, n, d))
         else:
-            adj = _adj_indicator(inst)
+            adj = (_quantized(inst.C) != 0).astype(np.float64)
             m_row_ij = np.zeros((n, n, d))
             m_col_ij = np.zeros((n, n, d))
             for i in range(n):

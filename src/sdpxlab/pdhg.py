@@ -59,10 +59,12 @@ class PdhgConfig:
 
 @dataclass(frozen=True)
 class PdhgState:
-    """Iterate after step ``t``, with its primal and relative step residuals."""
+    """Iterate after step ``t`` with A*(y), which the next step and the
+    stopping test reuse, and its primal and relative step residuals."""
 
     X: np.ndarray
     y: np.ndarray
+    Aty: np.ndarray
     t: int
     primal_res: float
     step_res: float
@@ -105,29 +107,30 @@ def project_psd(M) -> np.ndarray:
 def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
                   max_iters: int = 5000) -> float:
     """Largest eigenvalue of X -> A*(A(X)) by power iteration on S^n."""
-    if inst.m == 0 or not np.any(inst.dense_A):
+    if inst.nnz == 0:
         raise NumericalError("constraint operator is zero")
     rng = np.random.default_rng(0)
-    lam = 0.0
-    for _restart in range(5):
-        M = symmetrize(rng.standard_normal((inst.n, inst.n)))
-        M /= np.linalg.norm(M)
-        lam = 0.0
-        for _ in range(max_iters):
-            T = apply_A_adjoint(inst, apply_A(inst, M))
-            nrm = float(np.linalg.norm(T))
-            if nrm == 0.0:
-                break  # start was orthogonal to the range; restart
-            new_lam = float(np.einsum("ij,ij->", M, T))
-            if not math.isfinite(new_lam):
-                raise NumericalError(f"operator norm estimate is {new_lam}; "
-                                     "constraint coefficients too large")
-            M = T / nrm
-            if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
-                return new_lam
-            lam = new_lam
-        else:
-            return lam
+    # huge coefficients overflow: a NumericalError below, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _restart in range(5):
+            M = symmetrize(rng.standard_normal((inst.n, inst.n)))
+            M /= np.linalg.norm(M)
+            lam = 0.0
+            for _ in range(max_iters):
+                T = apply_A_adjoint(inst, apply_A(inst, M))
+                nrm = float(np.linalg.norm(T))
+                if nrm == 0.0:
+                    break  # start was orthogonal to the range; restart
+                new_lam = float(np.einsum("ij,ij->", M, T))
+                if not math.isfinite(new_lam):
+                    raise NumericalError(f"operator norm estimate is {new_lam}; "
+                                         "constraint coefficients too large")
+                M = T / nrm
+                if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
+                    return new_lam
+                lam = new_lam
+            else:
+                return lam
     raise NumericalError("power iteration kept collapsing to zero")
 
 
@@ -151,10 +154,11 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
     lam = lambda_max_op(inst)
     alpha = 1.0 / math.sqrt(lam)
     beta = RHO / (alpha * lam)
+    Aty = apply_A_adjoint(inst, y)
     t = 0
     while True:
         t += 1
-        Z = (X - alpha * (apply_A_adjoint(inst, y) + inst.C)) / (1.0 + alpha * eps)
+        Z = (X - alpha * (Aty + inst.C)) / (1.0 + alpha * eps)
         if not np.all(np.isfinite(Z)):
             raise DivergenceError(f"non-finite iterate at t={t}")
         Xn = project_psd(Z)
@@ -164,7 +168,8 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
         step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
         primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if m else 0.0
         X, y = Xn, yn
-        yield PdhgState(X=X, y=y, t=t, primal_res=primal, step_res=step_res)
+        Aty = apply_A_adjoint(inst, y)
+        yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal, step_res=step_res)
 
 
 def _dual_and_gap(X, S) -> tuple[float, float]:
@@ -195,9 +200,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     """
     cfg = cfg or PdhgConfig()
     cfg.validate()
-    running_min = math.inf
+    running_min = dual = math.inf
     converged = False
-    dual = math.inf
     for state in islice(iterates(inst, cfg.eps, X0, y0), cfg.max_iters):
         running_min = min(running_min, state.primal_res)
         if state.primal_res > 1e6 * max(running_min, cfg.tol):
@@ -205,19 +209,18 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
                 f"primal residual grew to {state.primal_res:.3e} from running "
                 f"minimum {running_min:.3e} at t={state.t}")
         if state.primal_res <= cfg.tol and state.step_res <= cfg.tol:
-            S = inst.C + cfg.eps * state.X + apply_A_adjoint(inst, state.y)
+            S = inst.C + cfg.eps * state.X + state.Aty
             dual, gap = _dual_and_gap(state.X, S)
             if dual <= cfg.tol and (not kkt_stop or gap <= cfg.tol):
                 converged = True
                 break
     if math.isinf(dual):
-        S = inst.C + cfg.eps * state.X + apply_A_adjoint(inst, state.y)
-        dual, _ = _dual_and_gap(state.X, S)
+        dual, _ = _dual_and_gap(state.X, inst.C + cfg.eps * state.X + state.Aty)
     stats = PdhgStats(
         iterations=state.t, converged=converged, primal_res=state.primal_res,
         dual_res=dual, step_res=state.step_res,
         objective=objective(inst, state.X))
-    S = inst.C + apply_A_adjoint(inst, state.y)
+    S = inst.C + state.Aty
     return SolutionTriple(X=state.X, y=state.y, S=S), stats
 
 

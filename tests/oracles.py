@@ -7,8 +7,13 @@ primal-dual iteration, metrics by direct loop evaluation instead of
 vectorized contractions.  The exceptions are copies of code the library
 replaced, kept to check the replacement against: the reference PDHG loop
 (``pdhg.iterates`` must do the same arithmetic bit for bit), the sorted,
-sign-normalised spectral projection (``pdhg.project_psd``), and the
-entry-by-entry relabeling loop (``core.permute_instance``).
+sign-normalised spectral projection (``pdhg.project_psd``), the
+entry-by-entry relabeling and reordering loops (``core.permute_instance``,
+``core.reorder_constraints``), and the readers of the dense (m, n, n)
+constraint stack and of the per-matrix coordinates that the flat COO form
+replaced (``core.apply_A``, ``core.apply_A_adjoint``,
+``core.constraint_rank``, ``core.neighbor_lists``,
+``colors.joint_encoding_stable``).
 """
 
 from __future__ import annotations
@@ -249,3 +254,89 @@ def loop_permute_instance(inst, perm):
         for ak in inst.A)
     return SdpInstance(n=inst.n, C=C, A=A, b=inst.b.copy(),
                        metadata=dict(inst.metadata))
+
+
+def loop_reorder_constraints(inst, perm):
+    """``core.reorder_constraints`` with (A_k, b_k) moved one at a time."""
+    from sdpxlab.core import SdpInstance
+
+    perm = list(perm)
+    A: list = [None] * inst.m
+    b = np.zeros(inst.m)
+    for k in range(inst.m):
+        A[perm[k]] = inst.A[k]
+        b[perm[k]] = inst.b[k]
+    return SdpInstance(n=inst.n, C=inst.C.copy(), A=tuple(A), b=b,
+                       metadata=dict(inst.metadata))
+
+
+def dense_stack(inst) -> np.ndarray:
+    """The constraints as a dense (m, n, n) stack, the form the instance
+    cached before the flat COO form replaced it."""
+    out = np.zeros((inst.m, inst.n, inst.n))
+    for k, ak in enumerate(inst.A):
+        out[k] = ak.to_dense()
+    return out
+
+
+def dense_apply_A(inst, X) -> np.ndarray:
+    """Constraint map as an einsum over the dense stack."""
+    return np.einsum("kij,ij->k", dense_stack(inst), np.asarray(X, dtype=np.float64))
+
+
+def dense_apply_A_adjoint(inst, y) -> np.ndarray:
+    """Adjoint map as an einsum over the dense stack."""
+    if inst.m == 0:
+        return np.zeros((inst.n, inst.n))
+    return np.einsum("k,kij->ij", np.asarray(y, dtype=np.float64), dense_stack(inst))
+
+
+def dense_constraint_rank(inst, tol: float = 1e-9) -> int:
+    """Rank of the Gram matrix of the vectorized dense A_k (no size guard)."""
+    if inst.m == 0:
+        return 0
+    v = dense_stack(inst).reshape(inst.m, -1)
+    w = np.linalg.eigvalsh(v @ v.T)
+    return int(np.count_nonzero(w > tol * max(1.0, float(w[-1]))))
+
+
+def loop_neighbor_lists(inst):
+    """``core.neighbor_lists`` built from each matrix's upper-triangle
+    coordinates, mirroring off-diagonal entries, then sorting by cell."""
+    n = inst.n
+    cell_nbrs = [[] for _ in range(n * n)]
+    con_nbrs = [[] for _ in range(inst.m)]
+    for k, ak in enumerate(inst.A):
+        for i, j, v in ak.coords():
+            cell_nbrs[i * n + j].append((k, v))
+            con_nbrs[k].append((i * n + j, v))
+            if i != j:
+                cell_nbrs[j * n + i].append((k, v))
+                con_nbrs[k].append((j * n + i, v))
+    for lst in con_nbrs:
+        lst.sort()
+    return cell_nbrs, con_nbrs
+
+
+def reference_joint_encoding_stable(inst, max_rounds=None):
+    """``colors.joint_encoding_stable`` reading every A_kij, zeros
+    included, from the dense stack."""
+    from sdpxlab.colors import (Partition, _intern, _multiset_fwl_stable,
+                                canonical_labels)
+    from sdpxlab.core import quantize_key
+
+    if max_rounds is None:
+        max_rounds = inst.n * inst.n + inst.m + 1
+    n = inst.n
+    qb = [quantize_key(bk) for bk in inst.b]
+    dense = dense_stack(inst)
+    sigs = []
+    for i in range(n):
+        for j in range(n):
+            joint = tuple(sorted((quantize_key(dense[k, i, j]), qb[k])
+                                 for k in range(inst.m)))
+            sigs.append((quantize_key(inst.C[i, j]), joint))
+    var, rounds = _multiset_fwl_stable(_intern(sigs), n, max_rounds)
+    pv, pc = canonical_labels(var, qb)
+    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
+                     con=np.array(pc, dtype=np.int64), rounds=rounds)

@@ -5,6 +5,7 @@ from sdpxlab.colors import (
     Algo,
     Partition,
     init_colors,
+    joint_encoding_stable,
     refines,
     run_to_stable,
     step,
@@ -17,6 +18,9 @@ from sdpxlab.verify import (
     prop_diag_pair_instance,
     sample_instances,
 )
+
+from oracles import reference_joint_encoding_stable
+from test_core import operator_instances
 
 ALL_ALGOS = (Algo.VCWL, Algo.VC2WL, Algo.VC2FWL, Algo.VC2FWLP,
              Algo.DELTA_VC2WL, Algo.VC2IGNWL)
@@ -152,3 +156,9 @@ def test_partition_json_shape():
     d = part.to_json_dict()
     assert set(d) == {"var", "con", "rounds"}
     assert len(d["var"]) == 3 and len(d["con"]) == 2
+
+
+def test_joint_encoding_matches_dense_oracle():
+    for inst in operator_instances():
+        got, ref = joint_encoding_stable(inst), reference_joint_encoding_stable(inst)
+        assert got == ref and got.rounds == ref.rounds

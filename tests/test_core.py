@@ -13,10 +13,12 @@ from sdpxlab.core import (
     apply_A_adjoint,
     constraint_rank,
     constraint_residual,
+    neighbor_lists,
     objective,
     permute_instance,
     quantize_key,
     relative_obj_gap,
+    reorder_constraints,
     symmetrize,
 )
 from sdpxlab.relaxations import (
@@ -28,16 +30,55 @@ from sdpxlab.relaxations import (
     maxcut_sdp,
     mis_sdp,
     random_clauses,
+    regular_graph,
     vertexcover_sdp,
+)
+from sdpxlab.verify import (
+    diag_block_instance,
+    incomparability_instance,
+    latin_square_instance,
+    prop_diag_pair_instance,
+    regular_adjacency_instance,
+    sequential_pipeline_instance,
+    tuple_vs_multiset_instance,
 )
 
 from oracles import (
+    dense_apply_A,
+    dense_apply_A_adjoint,
+    dense_constraint_rank,
     loop_apply_A,
     loop_constraint_residual,
+    loop_neighbor_lists,
     loop_objective,
     loop_permute_instance,
+    loop_reorder_constraints,
 )
 from test_verify import prop32
+
+
+def operator_instances():
+    """Every relaxation generator, every hand-built verify instance, an
+    instance with m = 0, one whose constraint entries all quantize to zero,
+    and unit diagonal constraints whose rhs tell them apart."""
+    rng = np.random.default_rng(5)
+    g = er_graph(7, 0.5, 1)
+    zero_entries = (SparseSymMatrix.from_coords(3, [(0, 1, 1e-14), (2, 2, -3e-13)]),
+                    SparseSymMatrix.from_coords(3, []))
+    return [maxcut_sdp(g), maxclique_sdp(g), mis_sdp(g), vertexcover_sdp(g),
+            maxcut_sdp(regular_graph(6, 3, 0)), max2sat_sdp(random_clauses(5, 10, 2)),
+            lmi_sdp(3, 2, 3),
+            lp_to_sdp(rng.standard_normal(4), rng.standard_normal((2, 4)),
+                      rng.standard_normal(2)),
+            prop_diag_pair_instance(), latin_square_instance(),
+            tuple_vs_multiset_instance(), incomparability_instance(),
+            regular_adjacency_instance(), sequential_pipeline_instance(),
+            diag_block_instance(),
+            SdpInstance(n=3, C=np.eye(3), A=(), b=[]),
+            SdpInstance(n=3, C=np.eye(3), A=zero_entries, b=[0.0, 1.0]),
+            SdpInstance(n=3, C=np.zeros((3, 3)), b=[1.0, 1.0, 2.0],
+                        A=tuple(SparseSymMatrix.from_coords(3, [(i, i, 1.0)])
+                                for i in range(3)))]
 
 
 def test_symmetrize_examples():
@@ -204,3 +245,44 @@ def test_permute_instance_matches_loop_oracle():
             assert got.A == ref.A
             np.testing.assert_array_equal(got.b, ref.b)
             assert got.metadata == ref.metadata
+
+
+def test_sparse_operator_matches_dense_oracle():
+    rng = np.random.default_rng(17)
+    for inst in operator_instances():
+        n, m = inst.n, inst.m
+        for X in (symmetrize(rng.standard_normal((n, n))), rng.standard_normal((n, n))):
+            got = apply_A(inst, X)
+            assert got.dtype == np.float64 and got.shape == (m,)
+            np.testing.assert_allclose(got, dense_apply_A(inst, X), rtol=1e-12, atol=1e-12)
+        y = rng.standard_normal(m)
+        got = apply_A_adjoint(inst, y)
+        assert got.dtype == np.float64 and got.shape == (n, n)
+        np.testing.assert_array_equal(got, got.T)
+        np.testing.assert_allclose(got, dense_apply_A_adjoint(inst, y),
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_neighbor_lists_and_rank_match_oracles():
+    for inst in operator_instances():
+        assert neighbor_lists(inst) == loop_neighbor_lists(inst)
+        assert constraint_rank(inst) == dense_constraint_rank(inst)
+
+
+def test_constraint_operator_is_small_and_read_only():
+    # clique at n = 100: m = 2471 constraints, a dense stack would be 198 MB
+    inst = maxclique_sdp(er_graph(100, 0.5, 0))
+    assert sum(a.nbytes for a in inst.coo) < 1e6
+    assert not any(a.flags.writeable for a in inst.coo)
+    assert not hasattr(SdpInstance, "dense_A")
+
+
+def test_reorder_constraints_matches_loop_oracle():
+    rng = np.random.default_rng(23)
+    for inst in operator_instances():
+        perm = rng.permutation(inst.m).tolist()
+        got, ref = reorder_constraints(inst, perm), loop_reorder_constraints(inst, perm)
+        np.testing.assert_array_equal(got.C, ref.C)
+        assert got.A == ref.A
+        np.testing.assert_array_equal(got.b, ref.b)
+        assert got.metadata == ref.metadata

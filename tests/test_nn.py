@@ -56,6 +56,23 @@ def test_init_zero_weights_give_zero_embeddings():
     assert not np.any(st.var) and not np.any(st.con)
 
 
+def test_init_embeddings_default_equals_build_params_encoders():
+    inst = small_inst()
+    default = init_embeddings(inst, D, 7)
+    for arch in Arch:
+        st = init_embeddings(inst, D, 7, params=build_params(arch, D, 2, 7))
+        np.testing.assert_array_equal(st.var, default.var)
+        np.testing.assert_array_equal(st.con, default.con)
+
+
+def test_delta_layer_reads_nonzero_pattern_of_c():
+    # pinned value of the per-entry adjacency loop the delta layer used
+    # before it read (quantized C != 0); the invariance properties tested
+    # elsewhere hold for the complemented pattern too
+    states, _ = forward(Arch.DELTA_VC2MPNN, small_inst(), D, 2, 0)
+    assert float(states[-1].var.sum()) == pytest.approx(208.9883851361521, rel=1e-9)
+
+
 def test_init_equality_classes_match_init_colors():
     inst = prop_diag_pair_instance()
     st = init_embeddings(inst, D, seed=3)

@@ -1,3 +1,4 @@
+import warnings
 from itertools import islice
 
 import numpy as np
@@ -31,6 +32,7 @@ from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance
 
 from oracles import (
     bisection_eigvals,
+    dense_stack,
     penalty_objective,
     reference_eig_sym,
     reference_iterates,
@@ -146,6 +148,31 @@ def test_solve_does_one_eigendecomposition_per_step(monkeypatch):
     assert calls["eigh_in_stop_test"] == 0
 
 
+def test_solve_computes_adjoint_once_per_step(monkeypatch):
+    import sdpxlab.pdhg as pdhg_mod
+
+    calls = {"adjoint": 0, "in_lambda_max": False}
+    adjoint, lambda_max = pdhg_mod.apply_A_adjoint, pdhg_mod.lambda_max_op
+
+    def counted_adjoint(inst, y):
+        calls["adjoint"] += not calls["in_lambda_max"]
+        return adjoint(inst, y)
+
+    def flagged_lambda_max(*args, **kwargs):
+        calls["in_lambda_max"] = True
+        try:
+            return lambda_max(*args, **kwargs)
+        finally:
+            calls["in_lambda_max"] = False
+
+    monkeypatch.setattr(pdhg_mod, "apply_A_adjoint", counted_adjoint)
+    monkeypatch.setattr(pdhg_mod, "lambda_max_op", flagged_lambda_max)
+    _, stats = solve(maxcut_sdp(er_graph(8, 0.5, 3)))
+    assert stats.converged
+    # one A*(y) for the start, then one per step; the stop test reuses it
+    assert calls["adjoint"] <= stats.iterations + 1
+
+
 def test_project_psd_examples():
     Z = np.array([[2.0, -1.0], [-1.0, 3.0]])  # PSD
     assert np.linalg.norm(project_psd(Z) - Z) <= 1e-8
@@ -186,18 +213,21 @@ def test_lambda_max_examples():
 
 def test_lambda_max_rejects_overflow():
     # |A|^2 = 1e400 overflows: a typed error, not a bare assert or NaNs
+    # and no RuntimeWarning from the overflow on the way
     inst = SdpInstance(n=2, C=np.eye(2),
                        A=(SparseSymMatrix.from_coords(2, [(0, 0, 1e200)]),), b=[1.0])
-    with pytest.raises(NumericalError):
-        lambda_max_op(inst)
-    with pytest.raises(NumericalError):
-        solve(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError):
+            lambda_max_op(inst)
+        with pytest.raises(NumericalError):
+            solve(inst)
 
 
 def test_lambda_max_against_gram():
     for seed in range(5):
         inst = maxcut_sdp(er_graph(6, 0.6, seed))
-        flat = inst.dense_A.reshape(inst.m, -1)
+        flat = dense_stack(inst).reshape(inst.m, -1)
         lam_gram = float(np.linalg.eigvalsh(flat @ flat.T).max())
         lam = lambda_max_op(inst)
         assert lam >= lam_gram * (1 - 1e-4)
