@@ -1,7 +1,8 @@
 """Single executable wiring all modules: gen, solve, color, nn-forward,
 verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Output is
+Exit codes: 0 success, 1 verification failure or a solve that did not
+converge, 2 usage error.  Output is
 line-oriented ``key=value`` pairs on stdout; ``--json`` flags write
 machine-readable side files.
 """
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from .sdpa import read_sdpa, write_sdpa
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+NOT_CONVERGED = 1
 
 _ALGO_FLAGS = {a.value: a for a in Algo}
 _ARCH_FLAGS = {a.value: a for a in Arch}
@@ -167,19 +170,20 @@ def _cmd_solve(args) -> int:
                      tol=args.tol, max_iters=args.max_iters)
     if not args.warm_start and args.eps is None:
         triple, stages = solve_continuation(inst, cfg)
-        stats = stages[-1]
-        stats.iterations = sum(s.iterations for s in stages)
-        stats.converged = all(s.converged for s in stages)
+        # the last stage's residuals and weight, totals over every stage
+        stats = replace(stages[-1], iterations=sum(s.iterations for s in stages),
+                        converged=all(s.converged for s in stages),
+                        restarts=sum(s.restarts for s in stages))
     else:
         X0, y0 = (_read_warm_start(args.warm_start, inst) if args.warm_start
                   else (None, None))
         triple, stats = solve(inst, cfg, X0=X0, y0=y0)
     _kv(event="solve", file=args.file, iterations=stats.iterations,
-        converged=str(stats.converged).lower(),
-        objective=f"{stats.objective:.12g}",
+        converged=str(stats.converged).lower(), restarts=stats.restarts,
+        omega=f"{stats.omega:.6g}", objective=f"{stats.objective:.12g}",
         primal=f"{stats.primal_res:.3e}", dual=f"{stats.dual_res:.3e}")
     _write_json(args.json_out, _solution_payload(triple, stats))
-    return 0
+    return 0 if stats.converged else NOT_CONVERGED
 
 
 def _cmd_color(args) -> int:

@@ -223,6 +223,22 @@ class SdpInstance:
     def nnz(self) -> int:
         return len(self.coo[2])
 
+    @cached_property
+    def lambda_max(self) -> float:
+        """Largest eigenvalue of X -> A*(A(X)), which sets the PDHG step
+        sizes; estimated once per instance by ``pdhg.lambda_max_op``."""
+        from . import pdhg  # the solver owns the power iteration
+        return pdhg.lambda_max_op(self)
+
+    @cached_property
+    def _neighbor_lists(self):
+        cell_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.n * self.n)]
+        con_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.m)]
+        for k, cell, v in zip(*(a.tolist() for a in self.coo)):
+            cell_nbrs[cell].append((k, v))
+            con_nbrs[k].append((cell, v))
+        return (tuple(map(tuple, cell_nbrs)), tuple(map(tuple, con_nbrs)))
+
     def __eq__(self, other):
         if not isinstance(other, SdpInstance):
             return NotImplemented
@@ -344,11 +360,7 @@ def neighbor_lists(inst: SdpInstance):
     ``(k, A_kij)`` over constraints touching cell (i, j), and
     ``con_nbrs[k]`` lists ``(flat_cell, A_kij)`` in row-major cell order.
     Membership follows the quantized nonzero pattern (enforced at
-    SparseSymMatrix construction).
+    SparseSymMatrix construction).  The lists are built once per instance
+    and returned as the same read-only tuples on every call.
     """
-    cell_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(inst.n * inst.n)]
-    con_nbrs: list[list[tuple[int, float]]] = [[] for _ in range(inst.m)]
-    for k, cell, v in zip(*(a.tolist() for a in inst.coo)):
-        cell_nbrs[cell].append((k, v))
-        con_nbrs[k].append((cell, v))
-    return cell_nbrs, con_nbrs
+    return inst._neighbor_lists

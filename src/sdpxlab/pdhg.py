@@ -6,13 +6,19 @@ ascent step,
     X' <- Proj_PSD[ (X - a*(A*(y) + C)) / (1 + a*eps) ]
     y  <- y + b*( A(X' + (X' - X)) - b_rhs ),
 
-with constant step sizes a = 1/sqrt(lambda_max(A*A)) and
-a*b = rho / lambda_max, rho < 1, primal first.  ``iterates`` is the one
-implementation of this update: ``solve`` adds stopping rules to it, and
-the trajectory check in ``verify`` inspects its iterates directly.
-Each step does one eigendecomposition, for the projection; the dual
-residual of the stopping test needs only the eigenvalues of the slack.
-``solve(inst, cfg, X0=, y0=)`` warm-starts from a given primal/dual pair.
+with step sizes a = omega/sqrt(lambda_max(A*A)) and a*b = rho/lambda_max,
+rho < 1, primal first.  The primal weight omega balances the two steps.
+``iterates`` is the one implementation of this update: ``solve`` adds
+stopping rules and adaptive restarts to it, and the trajectory check in
+``verify`` inspects its iterates directly.  A restart (as in PDLP) keeps
+the current iterate and moves omega toward the ratio of the distances X
+and y travelled since the last restart, once the fixed-point residual has
+fallen to a fifth of its value at the start of the restart period.
+lambda_max is estimated once per instance, so restarts and continuation
+stages share it.  Each step does one eigendecomposition, for the
+projection; the dual residual of the stopping test needs only the
+eigenvalues of the slack.  ``solve(inst, cfg, X0=, y0=, omega=)``
+warm-starts from a given primal/dual pair and primal weight.
 Minimum-Frobenius-norm solutions are obtained by warm-started continuation
 over a shrinking regularization ladder.
 """
@@ -40,6 +46,7 @@ from .core import (
 
 EPS_LADDER = (1e-2, 1e-4, 1e-6)
 RHO = 0.9  # fraction of the step-size stability bound a*b*lambda_max < 1 in use
+RESTART_DECAY = 0.2  # restart once the fixed-point residual falls to this fraction
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,9 @@ class PdhgConfig:
 @dataclass(frozen=True)
 class PdhgState:
     """Iterate after step ``t`` with A*(y), which the next step and the
-    stopping test reuse, and its primal and relative step residuals."""
+    stopping test reuse, its primal and relative step residuals, the
+    fixed-point residual of the step in the PDHG metric, and the primal
+    weight of the step with the number of restarts before it."""
 
     X: np.ndarray
     y: np.ndarray
@@ -68,6 +77,9 @@ class PdhgState:
     t: int
     primal_res: float
     step_res: float
+    fp_res: float
+    omega: float
+    restarts: int
 
 
 @dataclass
@@ -78,6 +90,8 @@ class PdhgStats:
     dual_res: float
     step_res: float
     objective: float
+    restarts: int
+    omega: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -86,6 +100,8 @@ class PdhgStats:
             "residuals": {"primal": self.primal_res, "dual": self.dual_res,
                           "step": self.step_res},
             "objective": self.objective,
+            "restarts": self.restarts,
+            "omega": self.omega,
         }
 
 
@@ -134,14 +150,19 @@ def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
     raise NumericalError("power iteration kept collapsing to zero")
 
 
-def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
+def iterates(inst: SdpInstance, eps: float, X0=None, y0=None, omega: float = 1.0
              ) -> Iterator[PdhgState]:
     """Yield the PDHG iterate after each step, without end, from (X0, y0).
 
-    The step sizes are computed once, from lambda_max of A*A.  ``X0``
-    (default zero) is projected onto the PSD cone first and ``y0`` defaults
-    to zero.  The first ``next`` raises ``ShapeError`` for a start of the
-    wrong shape; any step raises ``DivergenceError`` on a non-finite iterate.
+    The step sizes are a = omega/sqrt(lambda_max) and b = RHO/(a*lambda_max),
+    with the instance's cached lambda_max of A*A.  ``X0`` (default zero) is
+    projected onto the PSD cone first and ``y0`` defaults to zero.
+    Sending a new primal weight, ``gen.send(omega)``, restarts at the
+    current iterate: the following steps use that weight's step sizes and
+    nothing else changes.  The first ``next`` raises ``ShapeError`` for a
+    start of the wrong shape and ``ValueError`` for a weight that is not
+    positive and finite; any step raises ``DivergenceError`` on a
+    non-finite iterate.
     """
     n, m = inst.n, inst.m
     X = np.zeros((n, n)) if X0 is None else np.asarray(X0, dtype=np.float64)
@@ -149,15 +170,17 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
     if X.shape != (n, n) or y.shape != (m,):
         raise ShapeError(f"start (X0, y0) has shapes {X.shape}, {y.shape}; "
                          f"expected {(n, n)}, {(m,)}")
+    if not (0.0 < omega < math.inf):
+        raise ValueError(f"primal weight must be positive and finite, got {omega}")
     if X0 is not None:
         X = project_psd(X)
-    lam = lambda_max_op(inst)
-    alpha = 1.0 / math.sqrt(lam)
-    beta = RHO / (alpha * lam)
+    lam = inst.lambda_max
+    alpha = omega / math.sqrt(lam)
     Aty = apply_A_adjoint(inst, y)
-    t = 0
+    t = restarts = 0
     while True:
         t += 1
+        beta = RHO / (alpha * lam)
         Z = (X - alpha * (Aty + inst.C)) / (1.0 + alpha * eps)
         if not np.all(np.isfinite(Z)):
             raise DivergenceError(f"non-finite iterate at t={t}")
@@ -165,11 +188,55 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None
         yn = y + beta * (apply_A(inst, Xn + (Xn - X)) - inst.b)
         if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(yn))):
             raise DivergenceError(f"non-finite iterate at t={t}")
-        step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
+        dX, dy = Xn - X, yn - y
+        dx_norm = float(np.linalg.norm(dX))
+        step_res = dx_norm / max(1.0, float(np.linalg.norm(X)))
         primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if m else 0.0
-        X, y = Xn, yn
-        Aty = apply_A_adjoint(inst, y)
-        yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal, step_res=step_res)
+        Atyn = apply_A_adjoint(inst, yn)
+        # |(dX, dy)|^2 in the metric [[I/a, -A*], [-A, I/b]], positive
+        # definite since a*b*lambda_max = RHO < 1
+        fp2 = (dx_norm * dx_norm / alpha + float(dy @ dy) / beta
+               - 2.0 * float(np.einsum("ij,ij->", Atyn - Aty, dX)))
+        X, y, Aty = Xn, yn, Atyn
+        sent = yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal,
+                               step_res=step_res, fp_res=math.sqrt(max(fp2, 0.0)),
+                               omega=omega, restarts=restarts)
+        if sent is not None:
+            omega, restarts = sent, restarts + 1
+            alpha = omega / math.sqrt(lam)
+
+
+def restarted_iterates(inst: SdpInstance, eps: float, X0=None, y0=None,
+                       omega: float = 1.0) -> Iterator[PdhgState]:
+    """``iterates`` with the adaptive restarts of ``solve``.
+
+    A restart comes at the first step whose ``fp_res`` is at most
+    RESTART_DECAY times that of the first step since the last restart, if
+    that was positive (an exact fixed point never restarts).  It
+    sets omega <- exp(log(D_X/D_y)/2 + log(omega)/2), where D_X and D_y are
+    the distances X and y moved since the last restart (the first period
+    measures from X0 and y0 as given, zero by default); the weight stays
+    if either distance is at most 1e-10.
+    """
+    gen = iterates(inst, eps, X0, y0, omega)
+    state = next(gen)
+    anchor_X = np.zeros((inst.n, inst.n)) if X0 is None else np.asarray(X0, dtype=np.float64)
+    anchor_y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=np.float64)
+    r0 = state.fp_res
+    while True:
+        yield state
+        new_omega = None
+        if 0.0 < r0 and state.fp_res <= RESTART_DECAY * r0:
+            new_omega = state.omega
+            dist_X = float(np.linalg.norm(state.X - anchor_X))
+            dist_y = float(np.linalg.norm(state.y - anchor_y))
+            if dist_X > 1e-10 and dist_y > 1e-10:
+                new_omega = math.exp(0.5 * math.log(dist_X / dist_y)
+                                     + 0.5 * math.log(new_omega))
+            anchor_X, anchor_y = state.X, state.y
+        state = gen.send(new_omega)
+        if new_omega is not None:
+            r0 = state.fp_res
 
 
 def _dual_and_gap(X, S) -> tuple[float, float]:
@@ -188,10 +255,13 @@ def _dual_and_gap(X, S) -> tuple[float, float]:
 
 def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
           X0: np.ndarray | None = None, y0: np.ndarray | None = None,
-          kkt_stop: bool = False) -> tuple[SolutionTriple, PdhgStats]:
+          omega: float = 1.0, kkt_stop: bool = False
+          ) -> tuple[SolutionTriple, PdhgStats]:
     """Iterate until primal, dual and step residuals all fall below tol.
 
-    ``X0`` and ``y0`` warm-start the iteration as in ``iterates``.  On
+    ``X0``, ``y0`` and the primal weight ``omega`` warm-start the
+    iteration, which restarts as in ``restarted_iterates``; the stats
+    report the restarts and the final weight.  On
     iteration exhaustion the last iterate is returned with
     ``converged=False`` (no exception).  The dual residual is the distance
     of the slack S = C + eps*X + A*(y) from the PSD cone.  ``kkt_stop``
@@ -202,7 +272,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     cfg.validate()
     running_min = dual = math.inf
     converged = False
-    for state in islice(iterates(inst, cfg.eps, X0, y0), cfg.max_iters):
+    steps = restarted_iterates(inst, cfg.eps, X0, y0, omega)
+    for state in islice(steps, cfg.max_iters):
         running_min = min(running_min, state.primal_res)
         if state.primal_res > 1e6 * max(running_min, cfg.tol):
             raise DivergenceError(
@@ -219,7 +290,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     stats = PdhgStats(
         iterations=state.t, converged=converged, primal_res=state.primal_res,
         dual_res=dual, step_res=state.step_res,
-        objective=objective(inst, state.X))
+        objective=objective(inst, state.X), restarts=state.restarts,
+        omega=state.omega)
     S = inst.C + state.Aty
     return SolutionTriple(X=state.X, y=state.y, S=S), stats
 
@@ -233,10 +305,12 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None,
     The ladder stages pull the iterate toward the minimum-Frobenius-norm
     optimum; the final polish stage re-solves without regularization and
     stops on full KKT residuals, removing the regularization bias from
-    the dual and the complementarity gap.
+    the dual and the complementarity gap.  Each stage starts from the
+    previous stage's (X, y) and final primal weight.
     """
     cfg = cfg or PdhgConfig()
     X = y = None
+    omega = 1.0
     all_stats: list[PdhgStats] = []
     stages = [(e, False) for e in ladder]
     if polish:
@@ -246,10 +320,11 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None,
         # stage's optimum, so solving it beyond eps/100 is wasted work
         stage_cfg = replace(cfg, eps=eps, tol=max(cfg.tol, eps * 1e-2))
         try:
-            triple, stats = solve(inst, stage_cfg, X0=X, y0=y, kkt_stop=is_polish)
+            triple, stats = solve(inst, stage_cfg, X0=X, y0=y, omega=omega,
+                                  kkt_stop=is_polish)
         except DivergenceError as exc:
             raise DivergenceError(f"continuation stage {idx} (eps={eps}): {exc}") from exc
-        X, y = triple.X, triple.y
+        X, y, omega = triple.X, triple.y, stats.omega
         all_stats.append(stats)
     return triple, all_stats
 

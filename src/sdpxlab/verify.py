@@ -621,19 +621,20 @@ def sample_instances(seed: int, per_generator: int, n_lo: int = 4,
     return out
 
 
-def _trajectory_cases(seed: int) -> list[CaseReport]:
-    reports = [
-        check_trajectory_refinement(prop_diag_pair_instance(),
-                                    case_id="trajectory_diag_pair"),
-        check_trajectory_refinement(latin_square_instance(),
-                                    case_id="trajectory_latin"),
-    ]
+def trajectory_instances(seed: int) -> list[tuple[str, SdpInstance]]:
+    """(case id, instance) of every report of the ``trajectory`` case."""
+    out = [("trajectory_diag_pair", prop_diag_pair_instance()),
+           ("trajectory_latin", latin_square_instance())]
     rng = np.random.default_rng(seed)
     for idx in range(3):
         g = er_graph(int(rng.integers(6, 13)), 0.5, int(rng.integers(2 ** 31)))
-        reports.append(check_trajectory_refinement(
-            maxcut_sdp(g), case_id=f"trajectory_maxcut_{idx}"))
-    return reports
+        out.append((f"trajectory_maxcut_{idx}", maxcut_sdp(g)))
+    return out
+
+
+def _trajectory_cases(seed: int) -> list[CaseReport]:
+    return [check_trajectory_refinement(inst, case_id=case_id)
+            for case_id, inst in trajectory_instances(seed)]
 
 
 def _scale_lemma_cases(seed: int) -> list[CaseReport]:

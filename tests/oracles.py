@@ -6,8 +6,9 @@ instead of LAPACK, solver objectives by a penalty method instead of
 primal-dual iteration, metrics by direct loop evaluation instead of
 vectorized contractions.  The exceptions are copies of code the library
 replaced, kept to check the replacement against: the reference PDHG loop
-(``pdhg.iterates`` must do the same arithmetic bit for bit), the sorted,
-sign-normalised spectral projection (``pdhg.project_psd``), the
+(``pdhg.iterates`` must do the same arithmetic bit for bit, and
+``pdhg.solve`` must restart it at the same steps with the same weights),
+the sorted, sign-normalised spectral projection (``pdhg.project_psd``), the
 entry-by-entry relabeling and reordering loops (``core.permute_instance``,
 ``core.reorder_constraints``), and the readers of the dense (m, n, n)
 constraint stack and of the per-matrix coordinates that the flat COO form
@@ -153,21 +154,23 @@ def maxcut_triangle_objective() -> float:
     return best
 
 
-def reference_iterates(inst, eps: float, X0=None, y0=None):
-    """The PDHG loop as it stood before ``pdhg.iterates`` replaced it:
-    step sizes alpha = 1/sqrt(lambda_max), beta = 0.9/(alpha*lambda_max),
-    extrapolation weight theta = 1.  Yields (X, y, primal_res, step_res)
-    after each step; ``pdhg.iterates`` must match it bit for bit."""
+def reference_iterates(inst, eps: float, X0=None, y0=None, omega: float = 1.0):
+    """The PDHG loop as it stood before ``pdhg.iterates`` replaced it, with
+    the primal weight omega added: step sizes alpha = omega/sqrt(lambda_max),
+    beta = 0.9/(alpha*lambda_max), extrapolation weight theta = 1.  Yields
+    (X, y, primal_res, step_res) after each step; a weight sent into the
+    generator sets the step sizes of the steps after it.  ``pdhg.iterates``
+    must match it bit for bit."""
     from sdpxlab.core import apply_A, apply_A_adjoint, symmetrize
     from sdpxlab.pdhg import lambda_max_op, project_psd
 
     lam = lambda_max_op(inst)
-    alpha = 1.0 / math.sqrt(lam)
-    beta = 0.9 / (alpha * lam)
     theta = 1.0
     X = np.zeros((inst.n, inst.n)) if X0 is None else project_psd(symmetrize(X0))
     y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=np.float64).copy()
     while True:
+        alpha = omega / math.sqrt(lam)
+        beta = 0.9 / (alpha * lam)
         Z = (X - alpha * (apply_A_adjoint(inst, y) + inst.C)) / (1.0 + alpha * eps)
         Xn = project_psd(Z)
         W = Xn + theta * (Xn - X)
@@ -175,32 +178,90 @@ def reference_iterates(inst, eps: float, X0=None, y0=None):
         step_res = float(np.linalg.norm(Xn - X)) / max(1.0, float(np.linalg.norm(X)))
         primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if inst.m else 0.0
         X, y = Xn, yn
-        yield X, y, primal, step_res
+        sent = yield X, y, primal, step_res
+        if sent is not None:
+            omega = sent
+
+
+def _reference_stop(inst, eps, tol, kkt_stop, X, y, primal, step_res) -> bool:
+    """The stopping test of ``pdhg.solve``, with the cone distance taken
+    from a full projection of the slack."""
+    from sdpxlab.core import apply_A_adjoint
+    from sdpxlab.pdhg import project_psd
+
+    if primal > tol or step_res > tol:
+        return False
+    S = inst.C + eps * X + apply_A_adjoint(inst, y)
+    if float(np.linalg.norm(S - project_psd(S))) > tol:
+        return False
+    S = inst.C + apply_A_adjoint(inst, y)
+    return not kkt_stop or abs(float(np.einsum("ij,ij->", X, S))) <= tol
 
 
 def reference_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
                     max_iters: int = 20000, X0=None, y0=None,
                     kkt_stop: bool = False):
     """The stopping rules of ``pdhg.solve`` as they stood before it ran on
-    ``pdhg.iterates``, around ``reference_iterates``.  Returns
-    (X, y, iterations, converged)."""
-    from sdpxlab.core import apply_A_adjoint
-    from sdpxlab.pdhg import project_psd
-
+    ``pdhg.iterates``, around ``reference_iterates`` at a fixed weight of 1.
+    Returns (X, y, iterations, converged)."""
     converged = False
     t = 0
     for X, y, primal, step_res in reference_iterates(inst, eps, X0, y0):
         t += 1
-        if primal <= tol and step_res <= tol:
-            S = inst.C + eps * X + apply_A_adjoint(inst, y)
-            if float(np.linalg.norm(S - project_psd(S))) <= tol:
-                S = inst.C + apply_A_adjoint(inst, y)
-                if not kkt_stop or abs(float(np.einsum("ij,ij->", X, S))) <= tol:
-                    converged = True
-                    break
-        if t == max_iters:
+        converged = _reference_stop(inst, eps, tol, kkt_stop, X, y, primal, step_res)
+        if converged or t == max_iters:
             break
     return X, y, t, converged
+
+
+def reference_restarted_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
+                              max_iters: int = 20000, X0=None, y0=None,
+                              omega: float = 1.0, kkt_stop: bool = False):
+    """``reference_solve`` with the restart rule of ``pdhg.solve`` written
+    out step by step: the fixed-point residual of each step is the norm of
+    (X_t - X_{t-1}, y_t - y_{t-1}) in the metric [[I/a, -A*], [-A, I/b]],
+    with A* applied to the dual difference directly; a restart comes once
+    it is at most 0.2 of its value at the first step of the restart period,
+    if that value is positive, and moves the weight to exp(log(D_X/D_y)/2 + log(omega)/2), D_X and D_y
+    being the distances from the last restart point (the start as given),
+    unless one is at most 1e-10.  Returns
+    (X, y, iterations, converged, restarts, omega)."""
+    from sdpxlab.core import apply_A_adjoint, symmetrize
+    from sdpxlab.pdhg import lambda_max_op, project_psd
+
+    lam = lambda_max_op(inst)
+    zero_X, zero_y = np.zeros((inst.n, inst.n)), np.zeros(inst.m)
+    prev_X = zero_X if X0 is None else project_psd(symmetrize(X0))
+    prev_y = zero_y if y0 is None else np.asarray(y0, dtype=np.float64)
+    mark_X = zero_X if X0 is None else np.asarray(X0, dtype=np.float64)
+    mark_y = prev_y
+    steps = reference_iterates(inst, eps, X0, y0, omega)
+    X, y, primal, step_res = next(steps)
+    t, restarts, first_res = 1, 0, None
+    while True:
+        converged = _reference_stop(inst, eps, tol, kkt_stop, X, y, primal, step_res)
+        if converged or t == max_iters:
+            break
+        alpha = omega / math.sqrt(lam)
+        beta = 0.9 / (alpha * lam)
+        dX, dy = X - prev_X, y - prev_y
+        res2 = (np.sum(dX * dX) / alpha + np.sum(dy * dy) / beta
+                - 2.0 * np.sum(apply_A_adjoint(inst, dy) * dX))
+        res = math.sqrt(max(float(res2), 0.0))
+        if first_res is None:
+            first_res = res
+        sent = None
+        if first_res > 0.0 and res <= 0.2 * first_res:
+            dist_X = float(np.linalg.norm(X - mark_X))
+            dist_y = float(np.linalg.norm(y - mark_y))
+            if dist_X > 1e-10 and dist_y > 1e-10:
+                omega = math.exp(0.5 * math.log(dist_X / dist_y) + 0.5 * math.log(omega))
+            sent, mark_X, mark_y = omega, X, y
+            restarts, first_res = restarts + 1, None
+        prev_X, prev_y = X, y
+        X, y, primal, step_res = steps.send(sent)
+        t += 1
+    return X, y, t, converged, restarts, omega
 
 
 def reference_eig_sym(M) -> tuple[np.ndarray, np.ndarray]:
@@ -302,7 +363,8 @@ def dense_constraint_rank(inst, tol: float = 1e-9) -> int:
 
 def loop_neighbor_lists(inst):
     """``core.neighbor_lists`` built from each matrix's upper-triangle
-    coordinates, mirroring off-diagonal entries, then sorting by cell."""
+    coordinates, mirroring off-diagonal entries, then sorting by cell;
+    returned as tuples, like the library's cached lists."""
     n = inst.n
     cell_nbrs = [[] for _ in range(n * n)]
     con_nbrs = [[] for _ in range(inst.m)]
@@ -315,7 +377,7 @@ def loop_neighbor_lists(inst):
                 con_nbrs[k].append((j * n + i, v))
     for lst in con_nbrs:
         lst.sort()
-    return cell_nbrs, con_nbrs
+    return tuple(map(tuple, cell_nbrs)), tuple(map(tuple, con_nbrs))
 
 
 def reference_joint_encoding_stable(inst, max_rounds=None):

@@ -19,11 +19,31 @@ def test_gen_then_solve_end_to_end(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     code, out, _ = run(["solve", str(path), "--json", str(sol)], capsys)
     assert code == 0
-    assert "converged=true" in out
+    assert "converged=true" in out and "restarts=" in out and "omega=" in out
     payload = json.loads(sol.read_text())
     assert set(payload) >= {"X", "y", "objective", "residuals", "iterations",
                             "converged"}
     assert len(payload["X"]) == 4
+
+
+@pytest.mark.parametrize("extra", [[], ["--eps", "1e-2"]])
+def test_solve_not_converged_exits_1_with_output(tmp_path, capsys, extra):
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "6", "--p", "0.5",
+         "--seed", "1", "-o", str(path)], capsys)
+    sol = tmp_path / "sol.json"
+    code, out, _ = run(["solve", str(path), "--max-iters", "3", "--json", str(sol)]
+                       + extra, capsys)
+    assert code == 1
+    fields = dict(kv.split("=", 1) for kv in out.split())
+    # the continuation's four stages of 3 iterations are summed
+    assert fields["iterations"] == ("3" if extra else "12")
+    assert fields["converged"] == "false"
+    assert int(fields["restarts"]) >= 0 and float(fields["omega"]) > 0
+    payload = json.loads(sol.read_text())
+    assert payload["converged"] is False
+    assert payload["iterations"] == int(fields["iterations"])
+    assert {"restarts", "omega"} <= set(payload) and len(payload["X"]) == 6
 
 
 def test_solve_warm_start_round_trip(tmp_path, capsys):

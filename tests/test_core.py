@@ -269,6 +269,16 @@ def test_neighbor_lists_and_rank_match_oracles():
         assert constraint_rank(inst) == dense_constraint_rank(inst)
 
 
+def test_neighbor_lists_are_built_once_per_instance():
+    for inst in operator_instances():
+        first = neighbor_lists(inst)
+        assert neighbor_lists(inst) is first
+        assert first == loop_neighbor_lists(inst)
+        cell_nbrs, con_nbrs = first
+        assert type(cell_nbrs) is type(con_nbrs) is tuple
+        assert all(type(lst) is tuple for lst in cell_nbrs + con_nbrs)
+
+
 def test_constraint_operator_is_small_and_read_only():
     # clique at n = 100: m = 2471 constraints, a dense stack would be 198 MB
     inst = maxclique_sdp(er_graph(100, 0.5, 0))

@@ -13,6 +13,7 @@ from sdpxlab.core import (
     ShapeError,
     SparseSymMatrix,
     objective,
+    permute_instance,
     symmetrize,
 )
 from sdpxlab.pdhg import (
@@ -24,6 +25,7 @@ from sdpxlab.pdhg import (
     lambda_max_op,
     min_norm_solution,
     project_psd,
+    restarted_iterates,
     solve,
     solve_continuation,
 )
@@ -37,6 +39,7 @@ from oracles import (
     reference_eig_sym,
     reference_iterates,
     reference_project_psd,
+    reference_restarted_solve,
     reference_solve,
 )
 from test_verify import prop32
@@ -142,7 +145,7 @@ def test_solve_does_one_eigendecomposition_per_step(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", eigvalsh))
     monkeypatch.setattr(pdhg_mod, "_dual_and_gap", stop_test)
     _, stats = solve(maxcut_sdp(er_graph(8, 0.5, 3)))
-    assert stats.converged
+    assert stats.converged and stats.restarts >= 1
     assert calls["eigh"] == stats.iterations
     assert calls["eigvalsh"] >= 1
     assert calls["eigh_in_stop_test"] == 0
@@ -268,6 +271,25 @@ def test_iterates_rejects_wrong_shapes():
         solve(inst, X0=np.zeros((5, 5)))
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, np.inf, np.nan])
+def test_iterates_rejects_bad_weight(omega):
+    with pytest.raises(ValueError, match="primal weight"):
+        next(iterates(one_dim(), 1e-6, omega=omega))
+
+
+def test_sent_weight_changes_only_the_step_sizes():
+    inst = maxcut_sdp(er_graph(8, 0.5, 3))
+    gen, ref = iterates(inst, 1e-6), reference_iterates(inst, 1e-6)
+    for t in range(1, 41):
+        weight = 3.0 if t == 10 else 0.5 if t == 25 else None  # sets step t
+        state, (X, y, primal, step_res) = gen.send(weight), ref.send(weight)
+        np.testing.assert_array_equal(state.X, X)
+        np.testing.assert_array_equal(state.y, y)
+        assert (state.t, state.primal_res, state.step_res) == (t, primal, step_res)
+        assert state.restarts == (t >= 10) + (t >= 25)
+        assert state.omega == (1.0 if t < 10 else 3.0 if t < 25 else 0.5)
+
+
 def _engine_instances():
     return [prop_diag_pair_instance(), latin_square_instance(),
             maxcut_sdp(er_graph(8, 0.5, 3))]
@@ -287,23 +309,83 @@ def test_iterates_match_reference_loop():
 def test_solve_matches_reference_loop():
     for inst in _engine_instances():
         triple, stats = solve(inst)
-        X, y, iters, converged = reference_solve(inst)
+        X, y, iters, converged, restarts, omega = reference_restarted_solve(inst)
         assert (stats.iterations, stats.converged) == (iters, converged)
+        assert (stats.restarts, stats.omega) == (restarts, omega)
+        assert restarts >= 1
         np.testing.assert_array_equal(triple.X, X)
         np.testing.assert_array_equal(triple.y, y)
 
 
+def test_solve_matches_fixed_weight_loop_until_first_restart():
+    for inst in _engine_instances():
+        first = next(s for s in restarted_iterates(inst, 1e-6) if s.restarts)
+        last_fixed = first.t - 1  # the restart comes after this step
+        triple, stats = solve(inst, PdhgConfig(max_iters=last_fixed))
+        X, y, iters, converged = reference_solve(inst, max_iters=last_fixed)
+        assert (stats.iterations, stats.restarts, stats.omega) == (iters, 0, 1.0)
+        assert not stats.converged and not converged
+        np.testing.assert_array_equal(triple.X, X)
+        np.testing.assert_array_equal(triple.y, y)
+        # the restart changes the next step
+        _, fixed = islice(reference_iterates(inst, 1e-6), last_fixed - 1, last_fixed + 1)
+        assert first.omega != 1.0
+        assert not np.array_equal(first.X, fixed[0])
+
+
 def test_continuation_matches_reference_loop():
-    # every stage, including the warm starts and the unregularized KKT stop
-    inst = prop_diag_pair_instance()
-    triple, stages = solve_continuation(inst)
-    ladder = [(eps, False) for eps in EPS_LADDER] + [(0.0, True)]
-    X = y = None
-    for stats, (eps, polish) in zip(stages, ladder):
-        X, y, iters, converged = reference_solve(
-            inst, eps, tol=max(1e-6, eps * 1e-2), X0=X, y0=y, kkt_stop=polish)
-        assert (stats.iterations, stats.converged) == (iters, converged)
-    np.testing.assert_array_equal(triple.X, X)
+    # every stage, including the warm starts, the weight carried between
+    # stages and the unregularized KKT stop
+    for inst in (prop_diag_pair_instance(), maxcut_sdp(er_graph(8, 0.5, 3))):
+        triple, stages = solve_continuation(inst)
+        ladder = [(eps, False) for eps in EPS_LADDER] + [(0.0, True)]
+        X = y = None
+        omega = 1.0
+        for stats, (eps, polish) in zip(stages, ladder):
+            X, y, iters, converged, restarts, omega = reference_restarted_solve(
+                inst, eps, tol=max(1e-6, eps * 1e-2), X0=X, y0=y, omega=omega,
+                kkt_stop=polish)
+            assert (stats.iterations, stats.converged) == (iters, converged)
+            assert (stats.restarts, stats.omega) == (restarts, omega)
+        assert sum(s.restarts for s in stages) >= 1
+        np.testing.assert_array_equal(triple.X, X)
+        np.testing.assert_array_equal(triple.y, y)
+
+
+def test_restart_weight_does_not_depend_on_labels():
+    inst = maxcut_sdp(er_graph(10, 0.5, 1))
+    perm = np.random.default_rng(0).permutation(10).tolist()
+    _, stages = solve_continuation(inst)
+    _, relabeled = solve_continuation(permute_instance(inst, perm))
+    for a, b in zip(stages, relabeled):
+        assert (a.iterations, a.restarts) == (b.iterations, b.restarts)
+        assert a.omega == pytest.approx(b.omega, rel=1e-9)
+
+
+def test_no_restart_at_an_exact_fixed_point():
+    # prop_diag_pair reaches fp_res == 0 within 100 steps at eps = 1e-6
+    states = list(islice(restarted_iterates(prop_diag_pair_instance(), 1e-6), 300))
+    assert states[150].fp_res == 0.0
+    assert states[-1].restarts == states[150].restarts >= 1
+
+
+def test_continuation_runs_one_power_iteration(monkeypatch):
+    import sdpxlab.pdhg as pdhg_mod
+
+    calls = []
+    original = pdhg_mod.lambda_max_op
+
+    def counted(inst, *args, **kwargs):
+        calls.append(inst)
+        return original(inst, *args, **kwargs)
+
+    monkeypatch.setattr(pdhg_mod, "lambda_max_op", counted)
+    inst = maxcut_sdp(er_graph(8, 0.5, 3))
+    _, stages = solve_continuation(inst)
+    assert len(stages) == 4 and sum(s.restarts for s in stages) >= 1
+    assert calls == [inst]
+    # the cached estimate is the seeded power iteration's, bit for bit
+    assert inst.lambda_max == original(inst)
 
 
 def test_solve_one_dim():

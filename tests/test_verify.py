@@ -1,5 +1,9 @@
+from itertools import islice
+
 import numpy as np
 import pytest
+
+from sdpxlab.pdhg import PdhgConfig, restarted_iterates
 
 from sdpxlab.verify import (
     CASE_IDS,
@@ -22,6 +26,7 @@ from sdpxlab.verify import (
     run_all,
     run_case,
     sample_instances,
+    trajectory_instances,
 )
 
 
@@ -55,6 +60,19 @@ def test_seq_pipeline_case():
 def test_trajectory_case_on_prop32():
     report = check_trajectory_refinement(prop32(), iters=200)
     assert report.passed
+
+
+def test_trajectory_refinement_holds_across_restarts(monkeypatch):
+    import sdpxlab.verify as verify_mod
+
+    # the spread check of the trajectory case, along the iterates of
+    # pdhg.solve, whose primal weight changes at every restart
+    monkeypatch.setattr(verify_mod, "iterates", restarted_iterates)
+    for case_id, inst in trajectory_instances(0):
+        report = check_trajectory_refinement(inst, case_id=case_id)
+        assert report.passed, (case_id, report.observed)
+        *_, last = islice(restarted_iterates(inst, PdhgConfig().eps), 500)
+        assert last.restarts >= 2 and last.omega != 1.0, case_id
 
 
 def test_trajectory_spread_zero_on_fully_symmetric_instance():
