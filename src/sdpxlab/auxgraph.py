@@ -18,7 +18,7 @@ constraint nodes is returned.
 
 from __future__ import annotations
 
-from .colors import Partition, StabilizationError, canonical_labels, _intern
+from .colors import Partition, StabilizationError, canonical_labels
 from .core import SdpInstance, SizeGuardError, neighbor_lists, quantize_key
 
 import numpy as np
@@ -80,19 +80,18 @@ def aux_graph_stable(inst: SdpInstance, max_n: int = AUX_N_CAP,
         for cell, v in lst:
             in_edges[con_base + k].append((quantize_key(v), cell))
 
-    cur = _intern(colors)
-    canon = canonical_labels(cur, [])[0]
+    # first-occurrence labels intern the signatures: equal ids iff equal
+    cur = canonical_labels(colors, [])[0]
     if max_rounds is None:
         max_rounds = len(colors) + 1
     rounds_used = 0
     for rounds_used in range(1, max_rounds + 1):
         sigs = [(cur[x], tuple(sorted((ec, cur[src]) for ec, src in in_edges[x])))
                 for x in range(len(cur))]
-        nxt = _intern(sigs)
-        nxt_canon = canonical_labels(nxt, [])[0]
-        if nxt_canon == canon:
+        nxt = canonical_labels(sigs, [])[0]
+        if nxt == cur:
             break
-        cur, canon = nxt, nxt_canon
+        cur = nxt
     else:  # pragma: no cover
         raise StabilizationError("auxiliary-graph refinement did not stabilize")
 

@@ -145,12 +145,17 @@ def _solution_payload(triple: SolutionTriple, stats) -> dict:
 
 
 def _read_warm_start(path: str, inst):
-    """(X0, y0) from a ``solve --json`` file; y0 is None when absent."""
+    """(X0, y0, omega) from a ``solve --json`` file; y0 is None when absent
+    and the primal weight omega is 1 in files written without one."""
     try:
         data = json.loads(Path(path).read_text())
         X0 = np.asarray(data["X"], dtype=np.float64)
         y0 = None if "y" not in data else np.asarray(data["y"], dtype=np.float64)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        omega = data.get("omega", 1.0)
+        if isinstance(omega, bool) or not isinstance(omega, (int, float)):
+            raise TypeError(f"omega must be a number, got {omega!r}")
+        omega = float(omega)
+    except (OSError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SystemExit2(
             f"bad warm-start file {path}: {type(exc).__name__}: {exc}") from None
     n, m = inst.n, inst.m
@@ -159,7 +164,9 @@ def _read_warm_start(path: str, inst):
             f"warm-start file {path}: X must be {n}x{n} and y of length {m}")
     if not (np.all(np.isfinite(X0)) and (y0 is None or np.all(np.isfinite(y0)))):
         raise SystemExit2(f"warm-start file {path}: non-finite X or y")
-    return X0, y0
+    if not (np.isfinite(omega) and omega > 0):
+        raise SystemExit2(f"warm-start file {path}: omega must be positive and finite")
+    return X0, y0, omega
 
 
 def _cmd_solve(args) -> int:
@@ -175,9 +182,9 @@ def _cmd_solve(args) -> int:
                         converged=all(s.converged for s in stages),
                         restarts=sum(s.restarts for s in stages))
     else:
-        X0, y0 = (_read_warm_start(args.warm_start, inst) if args.warm_start
-                  else (None, None))
-        triple, stats = solve(inst, cfg, X0=X0, y0=y0)
+        X0, y0, omega = (_read_warm_start(args.warm_start, inst) if args.warm_start
+                         else (None, None, 1.0))
+        triple, stats = solve(inst, cfg, X0=X0, y0=y0, omega=omega)
     _kv(event="solve", file=args.file, iterations=stats.iterations,
         converged=str(stats.converged).lower(), restarts=stats.restarts,
         omega=f"{stats.omega:.6g}", objective=f"{stats.objective:.12g}",

@@ -1,15 +1,17 @@
 """Color refinement over SDP variable cells and constraint nodes.
 
-Six refinement algorithms share one synchronous-round skeleton: every
-round each variable cell (i, j) and each constraint k builds a canonical
-signature from the previous round's colors, signatures are interned to
-fresh dense ids (sorted order, so runs are deterministic), and the
-ordered-update variants copy the upper triangle onto the lower one.
-
-The "hash" of the underlying definitions is realized exactly: canonical
-signature -> sort -> intern, which is injective per round without
-probabilistic hashing.  Coefficient equality inside signatures and
-neighbor membership use 12-digit quantization (see core.quantize_key).
+Six refinement algorithms share one synchronous round on int64 color
+arrays (dense ids 0..K-1 per namespace).  Each round gives every cell a
+fixed-width signature row: its color, the columns of its algorithm's
+builder in ``_SIGNATURES``, and the id of its multiset of (A_kij, color
+of k); each constraint gets its color and its multiset of (A_kij, color
+of cell).  One lexicographic sort interns the rows (equal rows, equal
+ids: exact, no hashing); the ordered-update variants then copy the upper
+triangle onto the lower one.  Multisets are interned one size at a time
+in disjoint id ranges, never padded to the largest size.  Coefficients
+come from ``SdpInstance.int_view``, built once per instance with the
+12-digit quantization of core.quantize_key.  ``tests/oracles.py`` keeps
+the pure-Python refinement this replaced as the differential oracle.
 """
 
 from __future__ import annotations
@@ -19,14 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import (
-    SdpInstance,
-    ShapeError,
-    StabilizationError,
-    ZERO_KEY,
-    neighbor_lists,
-    quantize_key,
-)
+from .core import SdpInstance, ShapeError, StabilizationError
 
 
 class Algo(str, Enum):
@@ -99,129 +94,107 @@ def canonical_labels(var_flat, con_flat) -> tuple[list[int], list[int]]:
     return out_var, out_con
 
 
-class _View:
-    """Precomputed per-instance structure shared by all algorithms."""
-
-    def __init__(self, inst: SdpInstance):
-        self.n = inst.n
-        self.m = inst.m
-        n = inst.n
-        self.qC = [[quantize_key(inst.C[i, j]) for j in range(n)] for i in range(n)]
-        self.adjC = [[1 if self.qC[i][j] != ZERO_KEY else 0 for j in range(n)]
-                     for i in range(n)]
-        cell_nbrs, con_nbrs = neighbor_lists(inst)
-        self.cell_nbrs = [tuple((k, quantize_key(v)) for k, v in lst) for lst in cell_nbrs]
-        self.con_nbrs = [tuple((cell, quantize_key(v)) for cell, v in lst)
-                         for lst in con_nbrs]
+def _n_ids(ids: np.ndarray) -> int:
+    return int(ids.max()) + 1 if ids.size else 0
 
 
-def _intern(sigs: list) -> list[int]:
-    ids = {sig: idx for idx, sig in enumerate(sorted(set(sigs)))}
-    return [ids[s] for s in sigs]
+def _intern_rows(table: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of a 2-D int64 table in lexicographic order:
+    equal rows, equal ids."""
+    rows, width = table.shape
+    if rows == 0 or width == 0:
+        return np.zeros(rows, dtype=np.int64)
+    order = np.lexsort(table.T[::-1])
+    ranked = table[order]
+    new = np.empty(rows, dtype=bool)
+    new[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    ids = np.empty(rows, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
 
 
-def _densify(colors: list[int]) -> list[int]:
-    remap = {c: i for i, c in enumerate(sorted(set(colors)))}
-    return [remap[c] for c in colors]
+def _multiset_ids(codes: np.ndarray, groups) -> np.ndarray:
+    """Id of the multiset of ``codes`` over each segment of ``groups``
+    (``IntView.by_cell`` or ``by_con``): equal multisets, equal ids.  Each
+    size is interned on its own and offset past the sizes before it."""
+    out = np.empty(sum(len(members) for members, _ in groups), dtype=np.int64)
+    base = 0
+    for members, entries in groups:
+        out[members] = _intern_rows(np.sort(codes[entries], axis=1)) + base
+        base += len(members)
+    return out
 
 
-def _init_lists(view: _View, inst: SdpInstance) -> tuple[list[int], list[int]]:
-    n = view.n
-    var_sigs = [(view.qC[i][j], 1 if i == j else 0) for i in range(n) for j in range(n)]
-    con_sigs = [(quantize_key(bk),) for bk in inst.b]
-    return _intern(var_sigs), _intern(con_sigs)
+# --- signature builders: (n, n) colors -> (n, n, width) int64 columns ---
+
+def _row_col_ids(V, view):
+    """Ids of the sorted column j and the sorted row i of cell (i, j)."""
+    n = len(V)
+    ids = _intern_rows(np.sort(np.concatenate([V, V.T]), axis=1))
+    return np.stack(np.broadcast_arrays(ids[None, n:], ids[:n, None]), axis=-1)
+
+
+def _pair_codes(V, view=None, ordered=False):
+    """Multiset over u of the pair (V[u, j], V[i, u]) of cell (i, j) as
+    codes sorted along the last axis; unordered pairs unless ``ordered``."""
+    K = _n_ids(V)
+    col, row = V.T[None, :, :], V[:, None, :]
+    if ordered:
+        codes = col * K + row
+    else:
+        codes = np.minimum(col, row) * K + np.maximum(col, row)
+    return np.sort(codes, axis=2)
+
+
+def _delta_codes(V, view):
+    """Multisets over u of (V[u, j], adj[i, u]) and of (V[i, u], adj[j, u])."""
+    adj = view.adj
+    first = V.T[None, :, :] * 2 + adj[:, None, :]
+    second = V[:, None, :] * 2 + adj[None, :, :]
+    return np.concatenate([np.sort(first, axis=2), np.sort(second, axis=2)], axis=2)
+
+
+def _ign_columns(V, view):
+    """The row and column ids plus the colors of (i, i) and (j, j)."""
+    d = np.diagonal(V)
+    diag = np.stack(np.broadcast_arrays(d[:, None], d[None, :]), axis=-1)
+    return np.concatenate([_row_col_ids(V, view), diag], axis=2)
+
+
+_SIGNATURES = {
+    Algo.VCWL: lambda V, view: np.zeros(V.shape + (0,), dtype=np.int64),
+    Algo.VC2WL: _row_col_ids,
+    Algo.VC2FWL: _pair_codes,
+    Algo.VC2FWLP: lambda V, view: _pair_codes(V, ordered=True),
+    Algo.DELTA_VC2WL: _delta_codes,
+    Algo.VC2IGNWL: _ign_columns,
+}
 
 
 def init_colors(inst: SdpInstance) -> ColorState:
     """Round-0 colors from (C_ij, diagonal flag) and b_k."""
-    view = _View(inst)
-    var, con = _init_lists(view, inst)
-    return ColorState(
-        round=0,
-        var_colors=np.array(var, dtype=np.int64).reshape(view.n, view.n),
-        con_colors=np.array(con, dtype=np.int64),
-        algo=None,
-    )
+    view, n = inst.int_view, inst.n
+    table = np.stack([view.C.reshape(-1), np.eye(n, dtype=np.int64).reshape(-1)], axis=1)
+    return ColorState(round=0, var_colors=_intern_rows(table).reshape(n, n),
+                      con_colors=_intern_rows(view.b[:, None]), algo=None)
 
 
-def _con_parts(view: _View, var: list[int]) -> list[tuple]:
-    return [tuple(sorted((qa, var[cell]) for cell, qa in view.con_nbrs[k]))
-            for k in range(view.m)]
-
-
-def _cell_con_part(view: _View, con: list[int], cell: int) -> tuple:
-    return tuple(sorted((qa, con[k]) for k, qa in view.cell_nbrs[cell]))
-
-
-def _step_lists(algo: Algo, view: _View, var: list[int], con: list[int]):
-    n = view.n
-    rows = [var[i * n:(i + 1) * n] for i in range(n)]
-    cols = [var[j::n] for j in range(n)]
-
-    var_sigs: list[tuple] = []
-    if algo is Algo.VCWL:
-        for i in range(n):
-            base = i * n
-            for j in range(n):
-                var_sigs.append((var[base + j], _cell_con_part(view, con, base + j)))
-    elif algo is Algo.VC2WL:
-        scol = [tuple(sorted(c)) for c in cols]
-        srow = [tuple(sorted(r)) for r in rows]
-        for i in range(n):
-            base = i * n
-            for j in range(n):
-                var_sigs.append((var[base + j], scol[j], srow[i],
-                                 _cell_con_part(view, con, base + j)))
-    elif algo is Algo.VC2FWL:
-        for i in range(n):
-            base = i * n
-            row_i = rows[i]
-            for j in range(n):
-                col_j = cols[j]
-                pairs = tuple(sorted(
-                    (a, b) if a <= b else (b, a) for a, b in zip(col_j, row_i)))
-                var_sigs.append((var[base + j], pairs,
-                                 _cell_con_part(view, con, base + j)))
-    elif algo is Algo.VC2FWLP:
-        for i in range(n):
-            base = i * n
-            row_i = rows[i]
-            for j in range(n):
-                pairs = tuple(sorted(zip(cols[j], row_i)))
-                var_sigs.append((var[base + j], pairs,
-                                 _cell_con_part(view, con, base + j)))
-    elif algo is Algo.DELTA_VC2WL:
-        adj = view.adjC
-        for i in range(n):
-            base = i * n
-            row_i = rows[i]
-            adj_i = adj[i]
-            for j in range(n):
-                adj_j = adj[j]
-                first = tuple(sorted(zip(cols[j], adj_i)))
-                second = tuple(sorted(zip(row_i, adj_j)))
-                var_sigs.append((var[base + j], first, second,
-                                 _cell_con_part(view, con, base + j)))
-    elif algo is Algo.VC2IGNWL:
-        scol = [tuple(sorted(c)) for c in cols]
-        srow = [tuple(sorted(r)) for r in rows]
-        for i in range(n):
-            base = i * n
-            for j in range(n):
-                var_sigs.append((var[base + j], scol[j], srow[i],
-                                 _cell_con_part(view, con, base + j),
-                                 var[i * n + i], var[j * n + j]))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown algorithm {algo}")
-
-    new_var = _intern(var_sigs)
-    new_con = _intern([(con[k], part) for k, part in enumerate(_con_parts(view, var))])
-
+def _refine(algo: Algo, inst: SdpInstance, var: np.ndarray,
+            con: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One round of ``algo`` on dense (n, n) and (m,) colors."""
+    view, (k, cell, _) = inst.int_view, inst.coo
+    n = inst.n
+    cell_sets = _multiset_ids(view.A * _n_ids(con) + con[k], view.by_cell)
+    table = np.concatenate([var[:, :, None], _SIGNATURES[algo](var, view),
+                            cell_sets.reshape(n, n, 1)], axis=2)
+    new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
+    con_sets = _multiset_ids(view.A * _n_ids(var) + var.reshape(-1)[cell], view.by_con)
+    new_con = _intern_rows(np.stack([con, con_sets], axis=1))
     if algo in SYMMETRIZED_ALGOS:
-        for i in range(n):
-            for j in range(i + 1, n):
-                new_var[j * n + i] = new_var[i * n + j]
-        new_var = _densify(new_var)
+        lower = np.tril_indices(n, -1)
+        new_var[lower] = new_var.T[lower]
+        new_var = _intern_rows(new_var.reshape(-1, 1)).reshape(n, n)
     return new_var, new_con
 
 
@@ -232,25 +205,22 @@ def step(algo: Algo, state: ColorState, inst: SdpInstance) -> ColorState:
         raise ShapeError(f"state was produced by {state.algo}, not {algo}")
     if state.var_colors.shape != (inst.n, inst.n) or len(state.con_colors) != inst.m:
         raise ShapeError("state does not match instance dimensions")
-    view = _View(inst)
-    var, con = _step_lists(algo, view, state.var_colors.reshape(-1).tolist(),
-                           state.con_colors.tolist())
-    return ColorState(
-        round=state.round + 1,
-        var_colors=np.array(var, dtype=np.int64).reshape(inst.n, inst.n),
-        con_colors=np.array(con, dtype=np.int64),
-        algo=algo,
-    )
+    var, con = _refine(algo, inst, state.var_colors, state.con_colors)
+    return ColorState(round=state.round + 1, var_colors=var, con_colors=con, algo=algo)
 
 
-def _assert_monotone(old_var, old_con, new_var, new_con):
-    # every new class must sit inside one old class; constraint ids are
-    # offset so the two namespaces cannot collide in the check
-    off = 1 << 60
-    back: dict[int, int] = {}
-    for o, nw in zip(old_var + old_con, new_var + [c + off for c in new_con]):
-        if back.setdefault(nw, o) != o:
-            raise StabilizationError("refinement step merged classes (bug)")
+def _assert_monotone(old: np.ndarray, new: np.ndarray) -> None:
+    # every new class must sit inside one old class
+    back = np.empty(_n_ids(new), dtype=np.int64)
+    back[new.reshape(-1)] = old.reshape(-1)
+    if np.any(back[new.reshape(-1)] != old.reshape(-1)):
+        raise StabilizationError("refinement step merged classes (bug)")
+
+
+def _partition(var: np.ndarray, con: np.ndarray, rounds: int) -> Partition:
+    pv, pc = canonical_labels(var.reshape(-1).tolist(), con.tolist())
+    return Partition(var=np.array(pv, dtype=np.int64).reshape(var.shape),
+                     con=np.array(pc, dtype=np.int64), rounds=rounds)
 
 
 def run_to_stable(algo: Algo, inst: SdpInstance,
@@ -263,25 +233,20 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
     on the number of strict refinements.
     """
     algo = Algo(algo)
-    view = _View(inst)
     if max_rounds is None:
         max_rounds = inst.n * inst.n + inst.m + 1
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
-    var, con = _init_lists(view, inst)
-    canon = canonical_labels(var, con)
+    state = init_colors(inst)
+    var, con = state.var_colors, state.con_colors
     for rounds_used in range(1, max_rounds + 1):
-        new_var, new_con = _step_lists(algo, view, var, con)
-        _assert_monotone(var, con, new_var, new_con)
-        new_canon = canonical_labels(new_var, new_con)
-        if new_canon == canon:
-            pv, pc = canon
-            return Partition(
-                var=np.array(pv, dtype=np.int64).reshape(inst.n, inst.n),
-                con=np.array(pc, dtype=np.int64),
-                rounds=rounds_used,
-            ), rounds_used
-        var, con, canon = new_var, new_con, new_canon
+        new_var, new_con = _refine(algo, inst, var, con)
+        _assert_monotone(var, new_var)
+        _assert_monotone(con, new_con)
+        # a refinement with as many classes is the same partition
+        if _n_ids(new_var) + _n_ids(new_con) == _n_ids(var) + _n_ids(con):
+            return _partition(var, con, rounds_used), rounds_used
+        var, con = new_var, new_con
     raise StabilizationError(
         f"{algo} did not stabilize within {max_rounds} rounds (impossible for "
         "a monotone step; treat as a bug)")
@@ -291,37 +256,23 @@ def refines(p: Partition, q: Partition) -> bool:
     """True iff every class of ``p`` is contained in a class of ``q``."""
     if p.var.shape != q.var.shape or p.con.shape != q.con.shape:
         raise ShapeError("partitions have different index sets")
-    seen: dict[tuple[int, int], int] = {}
-    for pc, qc in zip(p.var.flat, q.var.flat):
-        if seen.setdefault((0, int(pc)), int(qc)) != qc:
-            return False
-    for pc, qc in zip(p.con, q.con):
-        if seen.setdefault((1, int(pc)), int(qc)) != qc:
-            return False
-    return True
+    # p refines q iff no class of p pairs with two classes of q
+    return all(len(set(zip(a.flat, b.flat))) == len(set(a.flat))
+               for a, b in ((p.var, q.var), (p.con, q.con)))
 
 
 # --- ablation pipelines used by the verification harness ---------------
 
-def _multiset_fwl_stable(var: list[int], n: int,
-                         max_rounds: int) -> tuple[list[int], int]:
-    """Pure multiset pair refinement, no constraint aggregation."""
-    canon = canonical_labels(var, [])[0]
+def _multiset_fwl_stable(var: np.ndarray, max_rounds: int) -> tuple[np.ndarray, int]:
+    """Pure multiset pair refinement of dense (n, n) colors, no constraint
+    aggregation: the stable colors and the rounds run."""
+    n = len(var)
     for rounds_used in range(1, max_rounds + 1):
-        rows = [var[i * n:(i + 1) * n] for i in range(n)]
-        cols = [var[j::n] for j in range(n)]
-        sigs = []
-        for i in range(n):
-            row_i = rows[i]
-            for j in range(n):
-                pairs = tuple(sorted(
-                    (a, b) if a <= b else (b, a) for a, b in zip(cols[j], row_i)))
-                sigs.append((var[i * n + j], pairs))
-        new_var = _intern(sigs)
-        new_canon = canonical_labels(new_var, [])[0]
-        if new_canon == canon:
-            return canon, rounds_used
-        var, canon = new_var, new_canon
+        table = np.concatenate([var[:, :, None], _pair_codes(var)], axis=2)
+        new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
+        if _n_ids(new_var) == _n_ids(var):
+            return var, rounds_used
+        var = new_var
     raise StabilizationError("multiset refinement did not stabilize")
 
 
@@ -332,28 +283,21 @@ def vcwl_then_multiset_fwl(inst: SdpInstance,
     if max_rounds is None:
         max_rounds = inst.n * inst.n + inst.m + 1
     stage1, r1 = run_to_stable(Algo.VCWL, inst, max_rounds)
-    var, r2 = _multiset_fwl_stable(stage1.var.reshape(-1).tolist(), inst.n, max_rounds)
-    pv, pc = canonical_labels(var, stage1.con.tolist())
-    return Partition(var=np.array(pv, dtype=np.int64).reshape(inst.n, inst.n),
-                     con=np.array(pc, dtype=np.int64), rounds=r1 + r2)
+    var, r2 = _multiset_fwl_stable(stage1.var, max_rounds)
+    return _partition(var, stage1.con, r1 + r2)
 
 
 def joint_encoding_stable(inst: SdpInstance,
                           max_rounds: int | None = None) -> Partition:
     """Initialize each cell from (C_ij, multiset of (A_kij, b_k) over all
-    k), then run multiset pair refinement; constraints are never revisited."""
+    k), then run multiset pair refinement; constraints are never revisited.
+
+    The multiset over all k is read from the pairs with A_kij != 0: the
+    rest are (0, b_k) over the other constraints, fixed by those pairs."""
     if max_rounds is None:
         max_rounds = inst.n * inst.n + inst.m + 1
-    n = inst.n
-    qb = [quantize_key(bk) for bk in inst.b]
-    cell_nbrs, _ = neighbor_lists(inst)
-    sigs = []
-    for cell, lst in enumerate(cell_nbrs):
-        qa = [ZERO_KEY] * inst.m  # constraints absent from the cell hold zero
-        for k, v in lst:
-            qa[k] = quantize_key(v)
-        sigs.append((quantize_key(inst.C[cell // n, cell % n]), tuple(sorted(zip(qa, qb)))))
-    var, rounds = _multiset_fwl_stable(_intern(sigs), n, max_rounds)
-    pv, pc = canonical_labels(var, qb)
-    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
-                     con=np.array(pc, dtype=np.int64), rounds=rounds)
+    view, (k, _, _), n = inst.int_view, inst.coo, inst.n
+    joint = _multiset_ids(view.A * _n_ids(view.b) + view.b[k], view.by_cell)
+    var = _intern_rows(np.stack([view.C.reshape(-1), joint], axis=1)).reshape(n, n)
+    var, rounds = _multiset_fwl_stable(var, max_rounds)
+    return _partition(var, view.b, rounds)

@@ -19,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -165,6 +166,45 @@ class SparseSymMatrix:
                 and np.array_equal(self.vals, other.vals))
 
 
+class IntView(NamedTuple):
+    """Integer form of an instance, read by color refinement.
+
+    ``C`` (n, n), ``A`` (per ``coo`` entry) and ``b`` (m,) hold ids of
+    quantized values, equal iff the values quantize equal; ``adj`` marks
+    the C_ij that quantize to nonzero.  ``by_cell`` and ``by_con`` group
+    the ``coo`` entries of each cell and of each constraint by their
+    count: ``(members, entries)``, row r of ``entries`` holding the
+    positions of the entries of segment ``members[r]``.
+    """
+
+    C: np.ndarray
+    adj: np.ndarray
+    A: np.ndarray
+    b: np.ndarray
+    by_cell: tuple
+    by_con: tuple
+
+
+def _quantized_ids(x) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the quantized elements of ``x`` and whether each is nonzero;
+    ``quantize_key`` runs once per distinct value."""
+    uniq, inv = np.unique(np.asarray(x, dtype=np.float64).reshape(-1), return_inverse=True)
+    keys = np.array([quantize_key(v) for v in uniq.tolist()], dtype=np.int64)
+    ids, inv = np.unique(keys, return_inverse=True)[1], inv.reshape(-1)
+    return ids[inv].reshape(np.shape(x)), (keys[inv] != ZERO_KEY).reshape(np.shape(x))
+
+
+def _segment_groups(seg: np.ndarray, size: int, order: np.ndarray) -> tuple:
+    """``(members, entries)`` per segment length; ``order`` sorts ``seg``."""
+    counts = np.bincount(seg, minlength=size)
+    starts = np.cumsum(counts) - counts
+    groups = []
+    for length in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == length)
+        groups.append((members, order[starts[members, None] + np.arange(length)]))
+    return tuple(groups)
+
+
 @dataclass(eq=False)
 class SdpInstance:
     """One linear SDP: dense symmetric C, sparse constraint matrices, rhs b.
@@ -222,6 +262,19 @@ class SdpInstance:
     @property
     def nnz(self) -> int:
         return len(self.coo[2])
+
+    @cached_property
+    def int_view(self) -> IntView:
+        """The quantized ids and entry groups of ``IntView``, built once
+        per instance."""
+        k, cell, val = self.coo
+        out = IntView(
+            *_quantized_ids(self.C), A=_quantized_ids(val)[0], b=_quantized_ids(self.b)[0],
+            by_cell=_segment_groups(cell, self.n * self.n, np.argsort(cell, kind="stable")),
+            by_con=_segment_groups(k, self.m, np.arange(len(k))))
+        for a in out[:4]:
+            a.flags.writeable = False
+        return out
 
     @cached_property
     def lambda_max(self) -> float:

@@ -56,14 +56,19 @@ def read_sdpa(text: str) -> SdpInstance:
             raise SdpaParseError(no, f"non-finite {what}: {tok!r}")
         return v
 
+    def parse_first_int(no, ln, what):
+        toks = _clean_split(ln)
+        if not toks:
+            raise SdpaParseError(no, f"missing {what}")
+        return parse_int(no, toks[0], what)
+
     no, ln = lines[0]
-    toks = _clean_split(ln)
-    m = parse_int(no, toks[0], "constraint count")
+    m = parse_first_int(no, ln, "constraint count")
     if m < 0:
         raise SdpaParseError(no, f"negative constraint count {m}")
 
     no, ln = lines[1]
-    nblocks = parse_int(no, _clean_split(ln)[0], "block count")
+    nblocks = parse_first_int(no, ln, "block count")
     if nblocks < 1:
         raise SdpaParseError(no, f"bad block count {nblocks}")
 

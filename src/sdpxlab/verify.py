@@ -483,11 +483,8 @@ def check_color_equivariance(instances, seed: int = 0,
                     failures += 1
                     continue
             pr, _ = run_to_stable(algo, reordered)
-            pulled_con = np.empty(inst.m, dtype=np.int64)
-            for k in range(inst.m):
-                pulled_con[k] = pr.con[cperm[k]]
             cv, cc = canonical_labels(pr.var.reshape(-1).tolist(),
-                                      pulled_con.tolist())
+                                      pr.con[cperm].tolist())
             if not (np.array_equal(np.array(cv).reshape(inst.n, inst.n), base.var)
                     and np.array_equal(np.array(cc), base.con)):
                 failures += 1
@@ -535,7 +532,7 @@ def nn_invariance_deviation(arch: Arch, inst: SdpInstance, d: int,
     for st, rst in zip(states, rstates):
         dev = max(dev, float(np.max(np.abs(rst.var - st.var))))
         if inst.m:
-            pulled = rst.con[[cperm[k] for k in range(inst.m)]]
+            pulled = rst.con[cperm]
             dev = max(dev, float(np.max(np.abs(pulled - st.con))))
     return dev
 

@@ -14,7 +14,10 @@ entry-by-entry relabeling and reordering loops (``core.permute_instance``,
 constraint stack and of the per-matrix coordinates that the flat COO form
 replaced (``core.apply_A``, ``core.apply_A_adjoint``,
 ``core.constraint_rank``, ``core.neighbor_lists``,
-``colors.joint_encoding_stable``).
+``colors.joint_encoding_stable``), and the pure-Python color refinement
+that the int64 signature table of ``sdpxlab.colors`` replaced: per-cell
+signature tuples, sorted and interned each round (``reference_step``,
+``reference_run_to_stable`` and the two ablation pipelines).
 """
 
 from __future__ import annotations
@@ -380,11 +383,219 @@ def loop_neighbor_lists(inst):
     return tuple(map(tuple, cell_nbrs)), tuple(map(tuple, con_nbrs))
 
 
+class _View:
+    """Precomputed per-instance structure shared by all algorithms."""
+
+    def __init__(self, inst):
+        from sdpxlab.core import ZERO_KEY, neighbor_lists, quantize_key
+
+        self.n = inst.n
+        self.m = inst.m
+        n = inst.n
+        self.qC = [[quantize_key(inst.C[i, j]) for j in range(n)] for i in range(n)]
+        self.adjC = [[1 if self.qC[i][j] != ZERO_KEY else 0 for j in range(n)]
+                     for i in range(n)]
+        cell_nbrs, con_nbrs = neighbor_lists(inst)
+        self.cell_nbrs = [tuple((k, quantize_key(v)) for k, v in lst) for lst in cell_nbrs]
+        self.con_nbrs = [tuple((cell, quantize_key(v)) for cell, v in lst)
+                         for lst in con_nbrs]
+
+
+def _intern(sigs: list) -> list[int]:
+    ids = {sig: idx for idx, sig in enumerate(sorted(set(sigs)))}
+    return [ids[s] for s in sigs]
+
+
+def _densify(colors: list[int]) -> list[int]:
+    remap = {c: i for i, c in enumerate(sorted(set(colors)))}
+    return [remap[c] for c in colors]
+
+
+def _init_lists(view: _View, inst) -> tuple[list[int], list[int]]:
+    from sdpxlab.core import quantize_key
+
+    n = view.n
+    var_sigs = [(view.qC[i][j], 1 if i == j else 0) for i in range(n) for j in range(n)]
+    con_sigs = [(quantize_key(bk),) for bk in inst.b]
+    return _intern(var_sigs), _intern(con_sigs)
+
+
+def _con_parts(view: _View, var: list[int]) -> list[tuple]:
+    return [tuple(sorted((qa, var[cell]) for cell, qa in view.con_nbrs[k]))
+            for k in range(view.m)]
+
+
+def _cell_con_part(view: _View, con: list[int], cell: int) -> tuple:
+    return tuple(sorted((qa, con[k]) for k, qa in view.cell_nbrs[cell]))
+
+
+def _step_lists(algo, view: _View, var: list[int], con: list[int]):
+    from sdpxlab.colors import SYMMETRIZED_ALGOS, Algo
+
+    n = view.n
+    rows = [var[i * n:(i + 1) * n] for i in range(n)]
+    cols = [var[j::n] for j in range(n)]
+
+    var_sigs: list[tuple] = []
+    if algo is Algo.VCWL:
+        for i in range(n):
+            base = i * n
+            for j in range(n):
+                var_sigs.append((var[base + j], _cell_con_part(view, con, base + j)))
+    elif algo is Algo.VC2WL:
+        scol = [tuple(sorted(c)) for c in cols]
+        srow = [tuple(sorted(r)) for r in rows]
+        for i in range(n):
+            base = i * n
+            for j in range(n):
+                var_sigs.append((var[base + j], scol[j], srow[i],
+                                 _cell_con_part(view, con, base + j)))
+    elif algo is Algo.VC2FWL:
+        for i in range(n):
+            base = i * n
+            row_i = rows[i]
+            for j in range(n):
+                col_j = cols[j]
+                pairs = tuple(sorted(
+                    (a, b) if a <= b else (b, a) for a, b in zip(col_j, row_i)))
+                var_sigs.append((var[base + j], pairs,
+                                 _cell_con_part(view, con, base + j)))
+    elif algo is Algo.VC2FWLP:
+        for i in range(n):
+            base = i * n
+            row_i = rows[i]
+            for j in range(n):
+                pairs = tuple(sorted(zip(cols[j], row_i)))
+                var_sigs.append((var[base + j], pairs,
+                                 _cell_con_part(view, con, base + j)))
+    elif algo is Algo.DELTA_VC2WL:
+        adj = view.adjC
+        for i in range(n):
+            base = i * n
+            row_i = rows[i]
+            adj_i = adj[i]
+            for j in range(n):
+                adj_j = adj[j]
+                first = tuple(sorted(zip(cols[j], adj_i)))
+                second = tuple(sorted(zip(row_i, adj_j)))
+                var_sigs.append((var[base + j], first, second,
+                                 _cell_con_part(view, con, base + j)))
+    elif algo is Algo.VC2IGNWL:
+        scol = [tuple(sorted(c)) for c in cols]
+        srow = [tuple(sorted(r)) for r in rows]
+        for i in range(n):
+            base = i * n
+            for j in range(n):
+                var_sigs.append((var[base + j], scol[j], srow[i],
+                                 _cell_con_part(view, con, base + j),
+                                 var[i * n + i], var[j * n + j]))
+    else:  # pragma: no cover
+        raise ValueError(f"unknown algorithm {algo}")
+
+    new_var = _intern(var_sigs)
+    new_con = _intern([(con[k], part) for k, part in enumerate(_con_parts(view, var))])
+
+    if algo in SYMMETRIZED_ALGOS:
+        for i in range(n):
+            for j in range(i + 1, n):
+                new_var[j * n + i] = new_var[i * n + j]
+        new_var = _densify(new_var)
+    return new_var, new_con
+
+
+def _assert_monotone(old_var, old_con, new_var, new_con):
+    from sdpxlab.core import StabilizationError
+
+    # every new class must sit inside one old class; constraint ids are
+    # offset so the two namespaces cannot collide in the check
+    off = 1 << 60
+    back: dict[int, int] = {}
+    for o, nw in zip(old_var + old_con, new_var + [c + off for c in new_con]):
+        if back.setdefault(nw, o) != o:
+            raise StabilizationError("refinement step merged classes (bug)")
+
+
+def reference_init(inst) -> tuple[list[int], list[int]]:
+    """``colors.init_colors`` as flat (cell, constraint) color lists."""
+    return _init_lists(_View(inst), inst)
+
+
+def reference_step(algo, inst, var: list[int], con: list[int]):
+    """One round of ``colors.step`` on flat color lists."""
+    from sdpxlab.colors import Algo
+
+    return _step_lists(Algo(algo), _View(inst), var, con)
+
+
+def _reference_partition(var, con, n, rounds):
+    from sdpxlab.colors import Partition, canonical_labels
+
+    pv, pc = canonical_labels(var, con)
+    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
+                     con=np.array(pc, dtype=np.int64), rounds=rounds)
+
+
+def reference_run_to_stable(algo, inst, max_rounds=None):
+    """``colors.run_to_stable`` as it stood before the signature table:
+    per-cell Python tuples, sorted and interned each round."""
+    from sdpxlab.colors import Algo, canonical_labels
+    from sdpxlab.core import StabilizationError
+
+    algo = Algo(algo)
+    view = _View(inst)
+    if max_rounds is None:
+        max_rounds = inst.n * inst.n + inst.m + 1
+    var, con = _init_lists(view, inst)
+    canon = canonical_labels(var, con)
+    for rounds_used in range(1, max_rounds + 1):
+        new_var, new_con = _step_lists(algo, view, var, con)
+        _assert_monotone(var, con, new_var, new_con)
+        new_canon = canonical_labels(new_var, new_con)
+        if new_canon == canon:
+            return _reference_partition(var, con, inst.n, rounds_used), rounds_used
+        var, con, canon = new_var, new_con, new_canon
+    raise StabilizationError(f"{algo} did not stabilize within {max_rounds} rounds")
+
+
+def _multiset_fwl_stable(var: list[int], n: int,
+                         max_rounds: int) -> tuple[list[int], int]:
+    """Pure multiset pair refinement, no constraint aggregation."""
+    from sdpxlab.colors import canonical_labels
+    from sdpxlab.core import StabilizationError
+
+    canon = canonical_labels(var, [])[0]
+    for rounds_used in range(1, max_rounds + 1):
+        rows = [var[i * n:(i + 1) * n] for i in range(n)]
+        cols = [var[j::n] for j in range(n)]
+        sigs = []
+        for i in range(n):
+            row_i = rows[i]
+            for j in range(n):
+                pairs = tuple(sorted(
+                    (a, b) if a <= b else (b, a) for a, b in zip(cols[j], row_i)))
+                sigs.append((var[i * n + j], pairs))
+        new_var = _intern(sigs)
+        new_canon = canonical_labels(new_var, [])[0]
+        if new_canon == canon:
+            return canon, rounds_used
+        var, canon = new_var, new_canon
+    raise StabilizationError("multiset refinement did not stabilize")
+
+
+def reference_vcwl_then_multiset_fwl(inst, max_rounds=None):
+    """``colors.vcwl_then_multiset_fwl`` on the reference refinement."""
+    from sdpxlab.colors import Algo
+
+    if max_rounds is None:
+        max_rounds = inst.n * inst.n + inst.m + 1
+    stage1, r1 = reference_run_to_stable(Algo.VCWL, inst, max_rounds)
+    var, r2 = _multiset_fwl_stable(stage1.var.reshape(-1).tolist(), inst.n, max_rounds)
+    return _reference_partition(var, stage1.con.tolist(), inst.n, r1 + r2)
+
+
 def reference_joint_encoding_stable(inst, max_rounds=None):
     """``colors.joint_encoding_stable`` reading every A_kij, zeros
-    included, from the dense stack."""
-    from sdpxlab.colors import (Partition, _intern, _multiset_fwl_stable,
-                                canonical_labels)
+    included, from the dense stack, on the reference pair refinement."""
     from sdpxlab.core import quantize_key
 
     if max_rounds is None:
@@ -399,6 +610,4 @@ def reference_joint_encoding_stable(inst, max_rounds=None):
                                  for k in range(inst.m)))
             sigs.append((quantize_key(inst.C[i, j]), joint))
     var, rounds = _multiset_fwl_stable(_intern(sigs), n, max_rounds)
-    pv, pc = canonical_labels(var, qb)
-    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
-                     con=np.array(pc, dtype=np.int64), rounds=rounds)
+    return _reference_partition(var, qb, n, rounds)

@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from sdpxlab.cli import main
+from sdpxlab.pdhg import PdhgConfig, solve
+from sdpxlab.sdpa import read_sdpa
 
 
 def run(argv, capsys):
@@ -60,16 +63,47 @@ def test_solve_warm_start_round_trip(tmp_path, capsys):
     assert iters <= 50
 
 
+def test_solve_warm_start_uses_saved_weight(tmp_path, capsys):
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "30", "--p", "0.3",
+         "--seed", "2", "-o", str(path)], capsys)
+    sol = tmp_path / "sol.json"
+    run(["solve", str(path), "--json", str(sol)], capsys)
+    saved = json.loads(sol.read_text())
+    code, out, _ = run(["solve", str(path), "--warm-start", str(sol)], capsys)
+    assert code == 0
+    inst = read_sdpa(path.read_text())
+    X0, y0 = np.array(saved["X"]), np.array(saved["y"])
+    _, stats = solve(inst, PdhgConfig(), X0=X0, y0=y0, omega=saved["omega"])
+    _, cold = solve(inst, PdhgConfig(), X0=X0, y0=y0)
+    assert saved["omega"] != 1.0 and stats.iterations != cold.iterations
+    assert int(out.split("iterations=")[1].split()[0]) == stats.iterations
+    # a file without a weight starts from omega = 1
+    del saved["omega"]
+    sol.write_text(json.dumps(saved))
+    code, out, _ = run(["solve", str(path), "--warm-start", str(sol)], capsys)
+    assert int(out.split("iterations=")[1].split()[0]) == cold.iterations
+
+
+_X5 = [[0.0] * 5] * 5
+
+
 @pytest.mark.parametrize("content", [
     "not json",
     '{"y": [0, 0, 0, 0, 0]}',
     json.dumps({"X": [[0.0] * 4] * 4}),
-    json.dumps({"X": [[0.0] * 5] * 5, "y": [0.0] * 4}),
+    json.dumps({"X": _X5, "y": [0.0] * 4}),
     '{"X": [[NaN, 0, 0, 0, 0]]}',
     "[1, 2]",
     None,
+    json.dumps({"X": _X5, "omega": 0}),
+    json.dumps({"X": _X5, "omega": -1}),
+    json.dumps({"X": _X5, "omega": "x"}),
+    json.dumps({"X": _X5, "omega": None}),
+    '{"X": %s, "omega": Infinity}' % json.dumps(_X5),
 ], ids=["not-json", "no-X", "X-wrong-side", "y-wrong-length", "nan-X",
-        "not-an-object", "missing-file"])
+        "not-an-object", "missing-file", "omega-0", "omega-negative",
+        "omega-string", "omega-null", "omega-inf"])
 def test_solve_bad_warm_start_is_usage_error(tmp_path, capsys, content):
     path = tmp_path / "t.dat-s"
     run(["gen", "--problem", "maxcut", "--n", "5", "--p", "0.6",

@@ -1,17 +1,21 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
 from sdpxlab.colors import (
     Algo,
     Partition,
+    canonical_labels,
     init_colors,
     joint_encoding_stable,
     refines,
     run_to_stable,
     step,
+    vcwl_then_multiset_fwl,
 )
 from sdpxlab.core import ShapeError, SdpInstance, SparseSymMatrix
-from sdpxlab.relaxations import er_graph, maxcut_sdp, maxclique_sdp
+from sdpxlab.relaxations import er_graph, maxcut_sdp, maxclique_sdp, vertexcover_sdp
 from sdpxlab.verify import (
     latin_square_instance,
     pattern_matches,
@@ -19,7 +23,13 @@ from sdpxlab.verify import (
     sample_instances,
 )
 
-from oracles import reference_joint_encoding_stable
+from oracles import (
+    reference_init,
+    reference_joint_encoding_stable,
+    reference_run_to_stable,
+    reference_step,
+    reference_vcwl_then_multiset_fwl,
+)
 from test_core import operator_instances
 
 ALL_ALGOS = (Algo.VCWL, Algo.VC2WL, Algo.VC2FWL, Algo.VC2FWLP,
@@ -158,7 +168,67 @@ def test_partition_json_shape():
     assert len(d["var"]) == 3 and len(d["con"]) == 2
 
 
+def differential_instances():
+    """Every operator instance (the seven hand-built verify instances among
+    them), two sampled instances of each generator at n <= 12, and max-cut
+    and vertex cover at n = 24."""
+    return (operator_instances() + sample_instances(3, per_generator=2)
+            + [maxcut_sdp(er_graph(24, 0.3, 1)), vertexcover_sdp(er_graph(23, 0.3, 1))])
+
+
 def test_joint_encoding_matches_dense_oracle():
-    for inst in operator_instances():
+    for inst in differential_instances():
         got, ref = joint_encoding_stable(inst), reference_joint_encoding_stable(inst)
         assert got == ref and got.rounds == ref.rounds
+
+
+def _canon(var, con):
+    return canonical_labels(np.reshape(var, -1).tolist(), np.reshape(con, -1).tolist())
+
+
+def _assert_dense(state):
+    for ids in (state.var_colors, state.con_colors):
+        assert ids.dtype == np.int64
+        assert set(ids.flat) == set(range(len(set(ids.flat))))
+
+
+def test_refinement_matches_python_oracle():
+    # round by round from init_colors, since nn_coloring_respect steps
+    # the colors alongside the layers
+    for inst in differential_instances():
+        for algo in ALL_ALGOS:
+            part, rounds = run_to_stable(algo, inst)
+            ref, ref_rounds = reference_run_to_stable(algo, inst)
+            assert part == ref and rounds == ref_rounds == part.rounds, (inst.n, algo)
+            state, (var, con) = init_colors(inst), reference_init(inst)
+            for _ in range(rounds + 1):
+                _assert_dense(state)
+                assert _canon(state.var_colors, state.con_colors) == _canon(var, con)
+                state = step(algo, state, inst)
+                var, con = reference_step(algo, inst, var, con)
+        got, ref = vcwl_then_multiset_fwl(inst), reference_vcwl_then_multiset_fwl(inst)
+        assert got == ref and got.rounds == ref.rounds
+
+
+def test_int_view_is_built_once_per_instance(monkeypatch):
+    built = []
+    build = SdpInstance.int_view.func
+
+    def counting(inst):
+        built.append(inst)
+        return build(inst)
+
+    prop = cached_property(counting)
+    prop.__set_name__(SdpInstance, "int_view")
+    monkeypatch.setattr(SdpInstance, "int_view", prop)
+    instances = [prop32(), latin_square_instance(), maxcut_sdp(er_graph(7, 0.5, 9))]
+    for inst in instances:
+        for algo in ALL_ALGOS:
+            run_to_stable(algo, inst)
+            state = init_colors(inst)
+            for _ in range(3):
+                state = step(algo, state, inst)
+        joint_encoding_stable(inst)
+        vcwl_then_multiset_fwl(inst)
+    assert len(built) == len(instances)
+    assert all(a is b for a, b in zip(built, instances))

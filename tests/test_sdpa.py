@@ -1,9 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdpxlab.core import SdpaParseError, SparseSymMatrix, SdpInstance, UnsupportedFormatError
+from sdpxlab.core import (
+    SdpaParseError,
+    SdpInstance,
+    SdpxlabError,
+    SparseSymMatrix,
+    UnsupportedFormatError,
+)
 from sdpxlab.relaxations import er_graph, lmi_sdp, maxcut_sdp
 from sdpxlab.sdpa import read_sdpa, write_sdpa
 
@@ -104,6 +112,59 @@ def test_non_finite_values_rejected_with_line_number(tok):
     with pytest.raises(SdpaParseError) as err:
         read_sdpa(HAND_FIXTURE.replace("2\n1.0\n", f"2\n{tok}\n"))
     assert err.value.line_no == 5
+
+
+@pytest.mark.parametrize("text,line_no", [
+    ("{}\n1\n2\n1.0\n", 1),
+    ("1\n()\n2\n1.0\n", 2),
+    ("1\n1\n,;\n1.0\n", 3),
+])
+def test_header_of_only_separators_is_parse_error(text, line_no):
+    with pytest.raises(SdpaParseError) as err:
+        read_sdpa(text)
+    assert err.value.line_no == line_no
+
+
+# a valid two-block file whose header and entry lines the strategy mutates
+_VALID_LINES = ["2", "2", "{2, 1}", "(3.5, -1)", "0 1 1 2 1.0", "0 2 1 1 2.0",
+                "1 1 1 1 1.0", "1 2 1 1 -1.0", "2 1 2 2 0.5"]
+_TOKENS = st.sampled_from(["0", "1", "2", "3", "-1", "1.5", "-0.25", "nan", "1e999",
+                           "x", "{", "}", "(", ")", ",", ";", "*", '"', ""])
+
+
+@st.composite
+def _mutated_sdpa(draw):
+    lines = list(_VALID_LINES)
+    for _ in range(draw(st.integers(1, 4))):
+        # half the edits land in the four header lines
+        idx = draw(st.one_of(st.integers(0, 3), st.integers(0, len(lines))))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        new = " ".join(draw(st.lists(_TOKENS, max_size=6)))
+        if edit == "insert":
+            lines.insert(idx, new)
+        elif idx < len(lines):
+            lines[idx:idx + 1] = [new] if edit == "replace" else []
+    return "\n".join(lines) + "\n"
+
+
+def _read_quietly(text):
+    # a constraint with no nonzero entry warns; that is not under test here
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return read_sdpa(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_sdpa())
+def test_any_text_parses_and_round_trips_or_raises_typed_error(text):
+    try:
+        inst = _read_quietly(text)
+    except SdpxlabError:
+        return
+    again = _read_quietly(write_sdpa(inst))
+    assert inst.C.tobytes() == again.C.tobytes()
+    assert inst.b.tobytes() == again.b.tobytes()
+    assert inst.A == again.A
 
 
 def test_negative_block_rejected():
