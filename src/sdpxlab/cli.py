@@ -209,18 +209,14 @@ def _cmd_nn(args) -> int:
         raise SystemExit2("--layers must be >= 0 and --dim >= 1")
     inst = _read_instance(args.file)
     arch = _ARCH_FLAGS[args.arch]
-    if args.check == "symmetry":
-        dev = verify.nn_symmetry_deviation(arch, inst, args.dim, args.layers, args.seed)
-        ok = dev <= 1e-12
-        _kv(event="nn_check", check="symmetry", deviation=f"{dev:.3e}",
-            ok=str(ok).lower())
-        return 0 if ok else VERIFY_FAILURE
-    if args.check == "equivariance":
-        dev = verify.nn_equivariance_deviation(arch, inst, args.dim, args.layers,
-                                               args.seed)
-        ok = dev <= 1e-9
-        _kv(event="nn_check", check="equivariance", deviation=f"{dev:.3e}",
-            ok=str(ok).lower())
+    if args.check in ("symmetry", "equivariance"):
+        deviation = {"symmetry": verify.nn_symmetry_deviation,
+                     "equivariance": verify.nn_equivariance_deviation}[args.check]
+        dev = deviation(arch, inst, args.dim, args.layers, args.seed)
+        tol = verify.NN_TOLERANCES[arch][args.check]
+        ok = dev <= tol
+        _kv(event="nn_check", check=args.check, deviation=f"{dev:.3e}",
+            tolerance=repr(tol), ok=str(ok).lower())
         return 0 if ok else VERIFY_FAILURE
     if args.check == "coloring":
         ok = verify.nn_coloring_respect(arch, inst, args.dim, args.layers, args.seed)

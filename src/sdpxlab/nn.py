@@ -1,10 +1,13 @@
 """Forward passes of the six embedding architectures, inference only.
 
 Weights come from a seeded xorshift stream, uniform in [-0.5, 0.5]; no
-training happens anywhere.  Every multiset reduction (neighbor messages,
-row sums, attention) accumulates its summands in a canonical value-sorted
-order, so cells whose refinement colors agree produce bit-identical
-embeddings and permuting the instance permutes embeddings exactly.
+training happens anywhere.  Each message MLP runs once per layer on all
+its rows: one per ``coo`` entry, per cell, or per triple (i, j, u) of the
+pair layers, which run in blocks of consecutive i of about ``_BLOCK_ROWS``
+rows.  Every multiset reduction is one ``_segment_sum``: rows sorted by
+(segment, row values in lexicographic order), each segment added in that
+order.  So cells whose refinement colors agree get bit-identical
+embeddings, and permuting the instance permutes the embeddings exactly.
 """
 
 from __future__ import annotations
@@ -16,13 +19,19 @@ from enum import Enum
 import numpy as np
 
 from .colors import Algo
-from .core import SdpInstance, ShapeError, neighbor_lists, quantize_value, symmetrize
+from .core import SdpInstance, ShapeError, _segment_groups, quantize_value, symmetrize
+
+_BLOCK_ROWS = 1 << 12  # rows per block of a pair layer
+_SIGN = np.uint64(1 << 63)
 
 
 def _quantized(values) -> np.ndarray:
-    """Coefficients as the refinement sees them: rounded to the quantum."""
+    """Coefficients as the refinement sees them: rounded to the quantum;
+    ``quantize_value`` runs once per distinct value."""
     arr = np.asarray(values, dtype=np.float64)
-    return np.array([quantize_value(v) for v in arr.reshape(-1)]).reshape(arr.shape)
+    uniq, inv = np.unique(arr.reshape(-1), return_inverse=True)
+    q = np.array([quantize_value(v) for v in uniq.tolist()], dtype=np.float64)
+    return q[inv.reshape(-1)].reshape(arr.shape)
 
 
 class Arch(str, Enum):
@@ -190,12 +199,36 @@ def build_params(arch: Arch, d: int, n_layers: int, seed: int) -> ArchParams:
                       layers=tuple(layers), decode_head=decode_head)
 
 
-def _csum(stack: np.ndarray, d: int) -> np.ndarray:
-    """Sum of row vectors in canonical (lexicographically sorted) order."""
-    if len(stack) == 0:
-        return np.zeros(d)
-    order = np.lexsort(stack.T[::-1])
-    return stack[order].sum(axis=0)
+def _segment_sum(rows: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    """(n_seg, d) sums of the rows of each segment ``seg == s``, each added
+    by position after sorting by (segment, row values in lexicographic
+    order), so equal multisets give bit-equal sums; empty segments sum to
+    0.  The sort key is the row as big-endian uint64s that order like the
+    floats (-0.0 as +0.0), compared as one byte string."""
+    n_rows, d = rows.shape
+    bits = (rows + 0.0).view(np.uint64)
+    keys = np.empty((n_rows, d + 1), dtype=">u8")
+    keys[:, 0] = seg
+    keys[:, 1:] = bits ^ ((bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN)
+    order = np.argsort(keys.view(np.dtype((np.void, 8 * (d + 1)))).reshape(-1),
+                       kind="stable")
+    out = np.empty((n_seg, d))
+    for members, entries in _segment_groups(seg, n_seg, order):
+        out[members] = rows[entries].sum(axis=1)
+    return out
+
+
+def _pair_sum(n: int, d: int, block_rows) -> np.ndarray:
+    """(n, n, d) sums over u of the rows that ``block_rows(ib)`` returns as
+    a (len(ib), n, n, d) array indexed [i, j, u], one block of i at a time."""
+    out = np.empty((n * n, d))
+    step = max(1, _BLOCK_ROWS // (n * n))
+    for lo in range(0, n, step):
+        rows = block_rows(slice(lo, lo + step))
+        b = len(rows) * n                   # segments (i, j) of the block
+        seg = np.repeat(np.arange(b), n)
+        out[lo * n:lo * n + b] = _segment_sum(rows.reshape(-1, d), seg, b)
+    return out.reshape(n, n, d)
 
 
 def init_embeddings(inst: SdpInstance, d: int, seed: int,
@@ -216,49 +249,27 @@ def init_embeddings(inst: SdpInstance, d: int, seed: int,
 
 
 def _neighbor_messages(inst, H, hc, lp, d):
+    """Messages along the ``coo`` entries, to cells and to constraints."""
     n = inst.n
-    cell_nbrs, con_nbrs = neighbor_lists(inst)
-    flat_h = H.reshape(n * n, d)
-    m_cv = np.zeros((n, n, d))
-    msg_cv = lp["msg_cv"]
-    for cell, lst in enumerate(cell_nbrs):
-        if not lst:
-            continue
-        inp = np.array([[quantize_value(v)] for _, v in lst])
-        kh = np.stack([hc[k] for k, _ in lst])
-        out = msg_cv(np.concatenate([inp, kh], axis=1))
-        m_cv[cell // n, cell % n] = _csum(out, d)
-    msg_vc = lp["msg_vc"]
-    m_vc = np.zeros((inst.m, d))
-    for k, lst in enumerate(con_nbrs):
-        if not lst:
-            continue
-        inp = np.array([[quantize_value(v)] for _, v in lst])
-        ch = np.stack([flat_h[cell] for cell, _ in lst])
-        out = msg_vc(np.concatenate([inp, ch], axis=1))
-        m_vc[k] = _csum(out, d)
-    return m_cv, m_vc
+    k, cell, val = inst.coo
+    q = _quantized(val)[:, None]
+    to_cell = lp["msg_cv"](np.concatenate([q, hc[k]], axis=1))
+    to_con = lp["msg_vc"](np.concatenate([q, H.reshape(n * n, d)[cell]], axis=1))
+    return (_segment_sum(to_cell, cell, n * n).reshape(n, n, d),
+            _segment_sum(to_con, k, inst.m))
 
 
 def _ign_message(H: np.ndarray, pars: IgnParams, d: int) -> np.ndarray:
     n = H.shape[0]
-    diag = H[np.arange(n), np.arange(n)]                       # (n, d)
-    row_sums = np.stack([_csum(H[i], d) for i in range(n)])    # (n, d)
-    trace = _csum(diag, d)
-    total = _csum(H.reshape(n * n, d), d)
-    eye = np.eye(n)
-    ones = np.ones((n, n))
-    ops = [
-        H,
-        ones[:, :, None] * trace,
-        ones[:, :, None] * total,
-        eye[:, :, None] * diag[:, None, :],
-        eye[:, :, None] * row_sums[:, None, :],
-        eye[:, :, None] * trace,
-        eye[:, :, None] * total,
-        row_sums[:, None, :] + row_sums[None, :, :],
-        diag[:, None, :] + diag[None, :, :],
-    ]
+    flat = H.reshape(n * n, d)
+    diag = H[np.arange(n), np.arange(n)]                             # (n, d)
+    row_sums = _segment_sum(flat, np.repeat(np.arange(n), n), n)      # (n, d)
+    trace = _segment_sum(diag, np.zeros(n, np.int64), 1)[0]
+    total = _segment_sum(flat, np.zeros(n * n, np.int64), 1)[0]
+    eye, ones = np.eye(n)[:, :, None], np.ones((n, n, 1))
+    ops = [H, ones * trace, ones * total, eye * diag[:, None, :],
+           eye * row_sums[:, None, :], eye * trace, eye * total,
+           row_sums[:, None, :] + row_sums[None, :, :], diag[:, None, :] + diag[None, :, :]]
     out = np.zeros((n, n, d))
     for op, w in zip(ops, pars.ws):
         out = out + op @ w
@@ -275,22 +286,14 @@ def triangular_attention(H: np.ndarray, pars: AttentionParams
                          ) -> tuple[np.ndarray, np.ndarray]:
     """Attention output (n,n,d) and scores alpha (n,n,n) indexed [i,j,l]."""
     n, _, d = H.shape
-    Q = H @ pars.w_q
-    K = H @ pars.w_k
-    V1 = H @ pars.w_v1
-    V2 = H @ pars.w_v2
+    Q, K, V1, V2 = (H @ w for w in (pars.w_q, pars.w_k, pars.w_v1, pars.w_v2))
     scores = np.einsum("ild,ljd->ilj", Q, K) / math.sqrt(d)
-    out = np.zeros((n, n, d))
-    alpha = np.zeros((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            s = scores[i, :, j]
-            e = np.exp(s - s.max())
-            denom = np.sort(e).sum()
-            a = e / denom
-            vals = V1[i] * V2[:, j]                  # (n, d), row l
-            out[i, j] = _csum(a[:, None] * vals, d)
-            alpha[i, j] = a
+    s = scores.transpose(0, 2, 1)                   # [i, j, l]
+    e = np.exp(s - s.max(axis=2, keepdims=True))
+    alpha = e / np.sort(e, axis=2).sum(axis=2, keepdims=True)
+    # row l of (i, j): alpha_ijl * (V1_il * V2_lj)
+    out = _pair_sum(n, d, lambda ib: alpha[ib, :, :, None]
+                    * (V1[ib][:, None, :, :] * V2.transpose(1, 0, 2)[None]))
     return out, alpha
 
 
@@ -313,32 +316,30 @@ def layer(arch: Arch, state: EmbeddingState, inst: SdpInstance,
         new_var = lp["upd_v"](np.concatenate([H, m_cv], axis=-1))
     elif arch in (Arch.VC2MPNN, Arch.DELTA_VC2MPNN):
         if arch is Arch.VC2MPNN:
-            row_in = lp["msg_row"](H)          # (n, n, d), [i, u]
-            col_in = lp["msg_col"](H)          # read as [u, j]
-            m_row = np.stack([_csum(row_in[i], d) for i in range(n)])
-            m_col = np.stack([_csum(col_in[:, j], d) for j in range(n)])
+            flat = H.reshape(n * n, d)              # row a*n + b is h_ab
+            m_row = _segment_sum(lp["msg_row"](flat), np.repeat(np.arange(n), n), n)
+            m_col = _segment_sum(lp["msg_col"](flat), np.tile(np.arange(n), n), n)
             m_row_ij = np.broadcast_to(m_row[:, None, :], (n, n, d))
             m_col_ij = np.broadcast_to(m_col[None, :, :], (n, n, d))
         else:
-            adj = (_quantized(inst.C) != 0).astype(np.float64)
-            m_row_ij = np.zeros((n, n, d))
-            m_col_ij = np.zeros((n, n, d))
-            for i in range(n):
-                for j in range(n):
-                    row_inp = np.concatenate([H[i], adj[:, j][:, None]], axis=1)
-                    col_inp = np.concatenate([H[:, j], adj[i][:, None]], axis=1)
-                    m_row_ij[i, j] = _csum(lp["msg_row"](row_inp), d)
-                    m_col_ij[i, j] = _csum(lp["msg_col"](col_inp), d)
+            adj = inst.int_view.adj.astype(np.float64)[..., None]
+
+            def rows(h, a):                         # (b, n, n, d + 1)
+                shape = np.broadcast_shapes(h.shape[:3], a.shape[:3])
+                return np.concatenate([np.broadcast_to(h, shape + (d,)),
+                                       np.broadcast_to(a, shape + (1,))], axis=-1)
+            # row u of (i, j): [h_iu, adj_uj] for msg_row, [h_uj, adj_iu] for msg_col
+            m_row_ij = _pair_sum(n, d, lambda ib: lp["msg_row"](
+                rows(H[ib][:, None], adj.transpose(1, 0, 2)[None])))
+            m_col_ij = _pair_sum(n, d, lambda ib: lp["msg_col"](
+                rows(H.transpose(1, 0, 2)[None], adj[ib][:, None])))
         new_var = lp["upd_v"](
             np.concatenate([H, m_col_ij, m_row_ij, m_cv], axis=-1))
     elif arch is Arch.VC2FMPNN:
         mapped = lp["map"](H)
-        msg_vv = lp["msg_vv"]
-        m_vv = np.zeros((n, n, d))
-        for i in range(n):
-            for j in range(n):
-                pairs = mapped[:, j] + mapped[i]        # row u: MAP(h_uj)+MAP(h_iu)
-                m_vv[i, j] = _csum(msg_vv(pairs), d)
+        # row u of (i, j): MAP(h_uj) + MAP(h_iu)
+        m_vv = _pair_sum(n, d, lambda ib: lp["msg_vv"](
+            mapped.transpose(1, 0, 2)[None] + mapped[ib][:, None]))
         new_var = lp["upd_v"](np.concatenate([H, m_vv, m_cv], axis=-1))
     elif arch is Arch.VC2IGN:
         m_ign = _ign_message(H, lp["ign"], d)
@@ -348,8 +349,6 @@ def layer(arch: Arch, state: EmbeddingState, inst: SdpInstance,
         tri, _ = triangular_attention(normed, lp["attn"])
         m_et = lp["ffn"](H + tri)
         new_var = lp["upd_v"](np.concatenate([H, m_et, m_cv], axis=-1))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown architecture {arch}")
 
     if arch in _SYMMETRIZED_ARCHS:
         # averaged rather than copied: a copy from the upper triangle is

@@ -14,10 +14,13 @@ entry-by-entry relabeling and reordering loops (``core.permute_instance``,
 constraint stack and of the per-matrix coordinates that the flat COO form
 replaced (``core.apply_A``, ``core.apply_A_adjoint``,
 ``core.constraint_rank``, ``core.neighbor_lists``,
-``colors.joint_encoding_stable``), and the pure-Python color refinement
+``colors.joint_encoding_stable``), the pure-Python color refinement
 that the int64 signature table of ``sdpxlab.colors`` replaced: per-cell
 signature tuples, sorted and interned each round (``reference_step``,
-``reference_run_to_stable`` and the two ablation pipelines).
+``reference_run_to_stable`` and the two ablation pipelines), and the
+per-cell forward layer that the segment sums of ``sdpxlab.nn`` replaced:
+one MLP call and one sorted row sum per cell, constraint or row
+(``reference_layer``, ``reference_triangular_attention``, ``csum``).
 """
 
 from __future__ import annotations
@@ -611,3 +614,175 @@ def reference_joint_encoding_stable(inst, max_rounds=None):
             sigs.append((quantize_key(inst.C[i, j]), joint))
     var, rounds = _multiset_fwl_stable(_intern(sigs), n, max_rounds)
     return _reference_partition(var, qb, n, rounds)
+
+
+# --- the per-cell forward layer that ``nn.layer`` replaced ----------------
+
+def _nn_quantized(values) -> np.ndarray:
+    """Coefficients as the refinement sees them: rounded to the quantum."""
+    from sdpxlab.core import quantize_value
+
+    arr = np.asarray(values, dtype=np.float64)
+    return np.array([quantize_value(v) for v in arr.reshape(-1)]).reshape(arr.shape)
+
+
+def csum(stack: np.ndarray, d: int) -> np.ndarray:
+    """Sum of row vectors in canonical (lexicographically sorted) order."""
+    if len(stack) == 0:
+        return np.zeros(d)
+    order = np.lexsort(stack.T[::-1])
+    return stack[order].sum(axis=0)
+
+
+def _neighbor_messages(inst, H, hc, lp, d):
+    from sdpxlab.core import neighbor_lists, quantize_value
+
+    n = inst.n
+    cell_nbrs, con_nbrs = neighbor_lists(inst)
+    flat_h = H.reshape(n * n, d)
+    m_cv = np.zeros((n, n, d))
+    msg_cv = lp["msg_cv"]
+    for cell, lst in enumerate(cell_nbrs):
+        if not lst:
+            continue
+        inp = np.array([[quantize_value(v)] for _, v in lst])
+        kh = np.stack([hc[k] for k, _ in lst])
+        out = msg_cv(np.concatenate([inp, kh], axis=1))
+        m_cv[cell // n, cell % n] = csum(out, d)
+    msg_vc = lp["msg_vc"]
+    m_vc = np.zeros((inst.m, d))
+    for k, lst in enumerate(con_nbrs):
+        if not lst:
+            continue
+        inp = np.array([[quantize_value(v)] for _, v in lst])
+        ch = np.stack([flat_h[cell] for cell, _ in lst])
+        out = msg_vc(np.concatenate([inp, ch], axis=1))
+        m_vc[k] = csum(out, d)
+    return m_cv, m_vc
+
+
+def _ign_message(H: np.ndarray, pars, d: int) -> np.ndarray:
+    n = H.shape[0]
+    diag = H[np.arange(n), np.arange(n)]                       # (n, d)
+    row_sums = np.stack([csum(H[i], d) for i in range(n)])     # (n, d)
+    trace = csum(diag, d)
+    total = csum(H.reshape(n * n, d), d)
+    eye = np.eye(n)
+    ones = np.ones((n, n))
+    ops = [
+        H,
+        ones[:, :, None] * trace,
+        ones[:, :, None] * total,
+        eye[:, :, None] * diag[:, None, :],
+        eye[:, :, None] * row_sums[:, None, :],
+        eye[:, :, None] * trace,
+        eye[:, :, None] * total,
+        row_sums[:, None, :] + row_sums[None, :, :],
+        diag[:, None, :] + diag[None, :, :],
+    ]
+    out = np.zeros((n, n, d))
+    for op, w in zip(ops, pars.ws):
+        out = out + op @ w
+    return out
+
+
+def reference_triangular_attention(H: np.ndarray, pars
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Attention output (n,n,d) and scores alpha (n,n,n) indexed [i,j,l]."""
+    n, _, d = H.shape
+    Q = H @ pars.w_q
+    K = H @ pars.w_k
+    V1 = H @ pars.w_v1
+    V2 = H @ pars.w_v2
+    scores = np.einsum("ild,ljd->ilj", Q, K) / math.sqrt(d)
+    out = np.zeros((n, n, d))
+    alpha = np.zeros((n, n, n))
+    for i in range(n):
+        for j in range(n):
+            s = scores[i, :, j]
+            e = np.exp(s - s.max())
+            denom = np.sort(e).sum()
+            a = e / denom
+            vals = V1[i] * V2[:, j]                  # (n, d), row l
+            out[i, j] = csum(a[:, None] * vals, d)
+            alpha[i, j] = a
+    return out, alpha
+
+
+def reference_layer(arch, state, inst, params):
+    """One forward layer of ``arch``; layer index picks the weights."""
+    from sdpxlab.core import ShapeError
+    from sdpxlab.nn import _SYMMETRIZED_ARCHS, Arch, EmbeddingState, _layer_norm
+
+    arch = Arch(arch)
+    if params.arch is not arch:
+        raise ShapeError(f"params built for {params.arch}, not {arch}")
+    n, d = inst.n, params.d
+    if state.var.shape != (n, n, d) or state.con.shape[0] != inst.m:
+        raise ShapeError("embedding state does not match the instance")
+    if state.layer >= len(params.layers):
+        raise ShapeError(f"no weights for layer {state.layer}")
+    lp = params.layers[state.layer]
+    H, hc = state.var, state.con
+    m_cv, m_vc = _neighbor_messages(inst, H, hc, lp, d)
+
+    if arch is Arch.VCMPNN:
+        new_var = lp["upd_v"](np.concatenate([H, m_cv], axis=-1))
+    elif arch in (Arch.VC2MPNN, Arch.DELTA_VC2MPNN):
+        if arch is Arch.VC2MPNN:
+            row_in = lp["msg_row"](H)          # (n, n, d), [i, u]
+            col_in = lp["msg_col"](H)          # read as [u, j]
+            m_row = np.stack([csum(row_in[i], d) for i in range(n)])
+            m_col = np.stack([csum(col_in[:, j], d) for j in range(n)])
+            m_row_ij = np.broadcast_to(m_row[:, None, :], (n, n, d))
+            m_col_ij = np.broadcast_to(m_col[None, :, :], (n, n, d))
+        else:
+            adj = (_nn_quantized(inst.C) != 0).astype(np.float64)
+            m_row_ij = np.zeros((n, n, d))
+            m_col_ij = np.zeros((n, n, d))
+            for i in range(n):
+                for j in range(n):
+                    row_inp = np.concatenate([H[i], adj[:, j][:, None]], axis=1)
+                    col_inp = np.concatenate([H[:, j], adj[i][:, None]], axis=1)
+                    m_row_ij[i, j] = csum(lp["msg_row"](row_inp), d)
+                    m_col_ij[i, j] = csum(lp["msg_col"](col_inp), d)
+        new_var = lp["upd_v"](
+            np.concatenate([H, m_col_ij, m_row_ij, m_cv], axis=-1))
+    elif arch is Arch.VC2FMPNN:
+        mapped = lp["map"](H)
+        msg_vv = lp["msg_vv"]
+        m_vv = np.zeros((n, n, d))
+        for i in range(n):
+            for j in range(n):
+                pairs = mapped[:, j] + mapped[i]        # row u: MAP(h_uj)+MAP(h_iu)
+                m_vv[i, j] = csum(msg_vv(pairs), d)
+        new_var = lp["upd_v"](np.concatenate([H, m_vv, m_cv], axis=-1))
+    elif arch is Arch.VC2IGN:
+        m_ign = _ign_message(H, lp["ign"], d)
+        new_var = lp["upd_v"](np.concatenate([H, m_ign, m_cv], axis=-1))
+    elif arch is Arch.VCET:
+        normed = _layer_norm(H, lp["ln_gamma"], lp["ln_beta"])
+        tri, _ = reference_triangular_attention(normed, lp["attn"])
+        m_et = lp["ffn"](H + tri)
+        new_var = lp["upd_v"](np.concatenate([H, m_et, m_cv], axis=-1))
+    else:  # pragma: no cover
+        raise ValueError(f"unknown architecture {arch}")
+
+    if arch in _SYMMETRIZED_ARCHS:
+        # averaged rather than copied: a copy from the upper triangle is
+        # frame-dependent and breaks permutation equivariance
+        new_var = (new_var + new_var.transpose(1, 0, 2)) / 2.0
+    new_con = (lp["upd_c"](np.concatenate([hc, m_vc], axis=-1))
+               if inst.m else hc)
+    return EmbeddingState(var=new_var, con=new_con, layer=state.layer + 1)
+
+
+def reference_forward(arch, inst, d: int, n_layers: int, seed: int):
+    """``nn.forward`` with every layer run by ``reference_layer``."""
+    from sdpxlab.nn import build_params, init_embeddings
+
+    params = build_params(arch, d, n_layers, seed)
+    states = [init_embeddings(inst, d, seed, params=params)]
+    for _ in range(n_layers):
+        states.append(reference_layer(arch, states[-1], inst, params))
+    return states, params

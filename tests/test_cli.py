@@ -188,6 +188,27 @@ def test_nn_forward_and_checks(tmp_path, capsys):
         assert "ok=true" in out
 
 
+def test_nn_check_tolerances_equal_the_harness(tmp_path, capsys):
+    from sdpxlab.nn import Arch
+    from sdpxlab.verify import case_nn_properties, prop_diag_pair_instance
+
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "4", "--p", "0.5",
+         "--seed", "4", "-o", str(path)], capsys)
+    harness = case_nn_properties([prop_diag_pair_instance()], n_layers=1,
+                                 seeds=(0,)).tolerance
+    tols = set()
+    for arch in Arch:
+        for check in ("symmetry", "equivariance"):
+            code, out, _ = run(["nn-forward", str(path), "--arch", arch.value,
+                                "--layers", "1", "--dim", "4", "--check", check], capsys)
+            fields = dict(kv.split("=", 1) for kv in out.split())
+            assert code == 0 and fields["ok"] == "true", (arch, check)
+            assert float(fields["tolerance"]) == harness[arch.value][check], (arch, check)
+            tols.add(float(fields["tolerance"]))
+    assert tols == {0.0, 1e-12, 1e-9}
+
+
 def test_pipeline_is_reproducible(tmp_path, capsys):
     a = tmp_path / "a.dat-s"
     b = tmp_path / "b.dat-s"

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import _nn_quantized, csum, reference_forward, reference_triangular_attention
 from sdpxlab.colors import init_colors
 from sdpxlab.core import ShapeError
 from sdpxlab.nn import (
@@ -8,6 +11,8 @@ from sdpxlab.nn import (
     ArchParams,
     Mlp,
     WeightStream,
+    _quantized,
+    _segment_sum,
     build_params,
     decode,
     forward,
@@ -15,14 +20,16 @@ from sdpxlab.nn import (
     layer,
     triangular_attention,
 )
-from sdpxlab.relaxations import er_graph, maxcut_sdp
+from sdpxlab.relaxations import er_graph, maxcut_sdp, vertexcover_sdp
 from sdpxlab.verify import (
     nn_coloring_respect,
     nn_equivariance_deviation,
     nn_invariance_deviation,
     nn_symmetry_deviation,
     prop_diag_pair_instance,
+    sample_instances,
 )
+from test_core import operator_instances
 
 D = 8
 
@@ -153,3 +160,82 @@ def test_decode_properties():
                         init_c=params.init_c, layers=params.layers,
                         decode_head=zero_head)
     assert not np.any(decode(states[-1], zeroed))
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=-1e300, max_value=-1e-300))
+
+
+@st.composite
+def segment_layouts(draw):
+    """Rows drawn from a small pool of values that holds zeros of both
+    signs, so that rows tie in early columns and repeat; segments of length
+    0, 1 and more, interleaved in random order."""
+    d = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.sampled_from([0, 1, 2, 3, 9, 12]), min_size=1, max_size=6))
+    pool = draw(st.lists(_VALUES, min_size=1, max_size=4)) + [0.0, -0.0]
+    n_rows = sum(lengths)
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=n_rows * d,
+                                  max_size=n_rows * d)), dtype=np.float64).reshape(n_rows, d)
+    seg = np.repeat(np.arange(len(lengths)), lengths)
+    perm = np.array(draw(st.permutations(range(n_rows))), dtype=np.int64)
+    return rows[perm], seg[perm], len(lengths)
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_layouts())
+def test_segment_sum_is_bit_identical_to_sorted_row_sum(layout):
+    rows, seg, n_seg = layout
+    got = _segment_sum(rows, seg, n_seg)
+    want = np.stack([csum(rows[seg == s], rows.shape[1]) for s in range(n_seg)])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_quantized_equals_per_value_quantization():
+    for inst in operator_instances():
+        for x in (inst.C, inst.b, inst.coo[2]):
+            np.testing.assert_array_equal(_quantized(x).view(np.uint64),
+                                          _nn_quantized(x).view(np.uint64))
+
+
+@pytest.mark.parametrize("arch", list(Arch))
+def test_layers_match_the_per_cell_oracle(arch):
+    for inst in (operator_instances() + sample_instances(3, 2)
+                 + [maxcut_sdp(er_graph(32, 0.3, 1)), vertexcover_sdp(er_graph(32, 0.3, 2))]):
+        states, params = forward(arch, inst, D, 3, 0)
+        ref_states, _ = reference_forward(arch, inst, D, 3, 0)
+        for got, want in zip(states, ref_states):
+            for a, b in ((got.var, want.var), (got.con, want.con)):
+                scale = max(1.0, float(np.max(np.abs(b), initial=0.0)))
+                assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * scale
+        want = decode(ref_states[-1], params)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(decode(states[-1], params) - want)) <= 1e-12 * scale
+        if arch is Arch.VCET:
+            pars = params.layers[0]["attn"]
+            _, alpha = triangular_attention(states[0].var, pars)
+            _, ref_alpha = reference_triangular_attention(states[0].var, pars)
+            assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12
+
+
+def test_layer_calls_each_mlp_a_fixed_number_of_times(monkeypatch):
+    calls = {"n": 0}
+    mlp_call = Mlp.__call__
+
+    def counted(self, x):
+        calls["n"] += 1
+        return mlp_call(self, x)
+
+    monkeypatch.setattr(Mlp, "__call__", counted)
+    for arch in Arch:
+        counts = []
+        for n in (8, 16):
+            inst = maxcut_sdp(er_graph(n, 0.5, 1))
+            params = build_params(arch, D, 1, 0)
+            state = init_embeddings(inst, D, 0, params=params)
+            calls["n"] = 0
+            layer(arch, state, inst, params)
+            counts.append(calls["n"])
+        assert counts[0] == counts[1], (arch, counts)
