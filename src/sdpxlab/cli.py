@@ -119,19 +119,26 @@ def _cmd_gen(args) -> int:
         raise SystemExit2(f"--n must be >= 1, got {args.n}")
     if args.p is not None and not 0 <= args.p <= 1:
         raise SystemExit2(f"--p must be in [0,1], got {args.p}")
-    if args.problem == "lmi":
-        inst = lmi_sdp(args.n, args.m if args.m is not None else args.n, args.seed)
-    elif args.problem == "max2sat":
-        k = args.clauses if args.clauses is not None else 2 * args.n
-        inst = max2sat_sdp(random_clauses(args.n, k, args.seed))
-    else:
-        if args.d is not None:
-            g = regular_graph(args.n, args.d, args.seed)
+    for flag, value in (("--m", args.m), ("--clauses", args.clauses)):
+        if value is not None and value < 0:
+            raise SystemExit2(f"{flag} must be >= 0, got {value}")
+    try:
+        # the generators reject parameters no instance exists for
+        if args.problem == "lmi":
+            inst = lmi_sdp(args.n, args.m if args.m is not None else args.n, args.seed)
+        elif args.problem == "max2sat":
+            k = args.clauses if args.clauses is not None else 2 * args.n
+            inst = max2sat_sdp(random_clauses(args.n, k, args.seed))
         else:
-            g = er_graph(args.n, args.p if args.p is not None else 0.5, args.seed)
-        builder = {"maxcut": maxcut_sdp, "clique": maxclique_sdp,
-                   "mis": mis_sdp, "vc": vertexcover_sdp}[args.problem]
-        inst = builder(g)
+            if args.d is not None:
+                g = regular_graph(args.n, args.d, args.seed)
+            else:
+                g = er_graph(args.n, args.p if args.p is not None else 0.5, args.seed)
+            builder = {"maxcut": maxcut_sdp, "clique": maxclique_sdp,
+                       "mis": mis_sdp, "vc": vertexcover_sdp}[args.problem]
+            inst = builder(g)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
     Path(args.output).write_text(write_sdpa(inst))
     _kv(event="gen", problem=args.problem, n=inst.n, m=inst.m, out=args.output)
     return 0
@@ -170,11 +177,13 @@ def _read_warm_start(path: str, inst):
 
 
 def _cmd_solve(args) -> int:
-    if args.tol <= 0 or args.max_iters < 1:
-        raise SystemExit2("--tol must be > 0 and --max-iters >= 1")
-    inst = _read_instance(args.file)
     cfg = PdhgConfig(eps=args.eps if args.eps is not None else 1e-6,
                      tol=args.tol, max_iters=args.max_iters)
+    try:
+        cfg.validate()
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from None
+    inst = _read_instance(args.file)
     if not args.warm_start and args.eps is None:
         triple, stages = solve_continuation(inst, cfg)
         # the last stage's residuals and weight, totals over every stage
@@ -209,18 +218,16 @@ def _cmd_nn(args) -> int:
         raise SystemExit2("--layers must be >= 0 and --dim >= 1")
     inst = _read_instance(args.file)
     arch = _ARCH_FLAGS[args.arch]
-    if args.check in ("symmetry", "equivariance"):
-        deviation = {"symmetry": verify.nn_symmetry_deviation,
-                     "equivariance": verify.nn_equivariance_deviation}[args.check]
-        dev = deviation(arch, inst, args.dim, args.layers, args.seed)
+    if args.check is not None:
+        dev = verify.nn_deviations(arch, inst, args.dim, args.layers, args.seed)
+        if args.check == "coloring":
+            ok = dev["coloring"]
+            _kv(event="nn_check", check="coloring", ok=str(ok).lower())
+            return 0 if ok else VERIFY_FAILURE
         tol = verify.NN_TOLERANCES[arch][args.check]
-        ok = dev <= tol
-        _kv(event="nn_check", check=args.check, deviation=f"{dev:.3e}",
+        ok = dev[args.check] <= tol
+        _kv(event="nn_check", check=args.check, deviation=f"{dev[args.check]:.3e}",
             tolerance=repr(tol), ok=str(ok).lower())
-        return 0 if ok else VERIFY_FAILURE
-    if args.check == "coloring":
-        ok = verify.nn_coloring_respect(arch, inst, args.dim, args.layers, args.seed)
-        _kv(event="nn_check", check="coloring", ok=str(ok).lower())
         return 0 if ok else VERIFY_FAILURE
     states, params = forward(arch, inst, args.dim, args.layers, args.seed)
     pred = decode(states[-1], params)

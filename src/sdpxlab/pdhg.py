@@ -58,10 +58,11 @@ class PdhgConfig:
     max_iters: int = 20000
 
     def validate(self):
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be > 0 and max_iters >= 1")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
+        if not (math.isfinite(self.tol) and self.tol > 0) or self.max_iters < 1:
+            raise ValueError(f"tol must be finite and > 0 and max_iters >= 1, "
+                             f"got tol={self.tol}, max_iters={self.max_iters}")
 
 
 @dataclass(frozen=True)

@@ -341,6 +341,19 @@ def case_multiset_encoding_fail(cfg: PdhgConfig | None = None) -> CaseReport:
 
 # --- theorem-consequence checks -----------------------------------------
 
+def _class_spread(values: np.ndarray, labels: np.ndarray) -> float:
+    """Largest max - min of ``values`` along axis 0 over the positions
+    sharing a label (0.0 without positions)."""
+    if not len(labels):
+        return 0.0
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    rows = values[order]
+    return float(np.max(np.maximum.reduceat(rows, starts)
+                        - np.minimum.reduceat(rows, starts)))
+
+
 def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
                                 cfg: PdhgConfig | None = None,
                                 case_id: str = "trajectory") -> CaseReport:
@@ -348,43 +361,27 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
 
     The stable joint-pair coloring is computed first; the solver then runs
     from zero and at every iteration the max spread of X (resp. y) over
-    each color class must stay below 1e-7 relative.
+    each color class must stay below 1e-7 relative.  A failure reports the
+    iteration and the largest spread of the block that exceeded its bound.
     """
     part, _ = run_to_stable(Algo.VC2FWL, inst)
-    var_groups = []
-    for cls in range(part.n_var_classes):
-        idx = np.nonzero(part.var.reshape(-1) == cls)[0]
-        if len(idx) > 1:
-            var_groups.append(idx)
-    con_ids = sorted(set(part.con.tolist()))
-    con_groups = [np.nonzero(part.con == cls)[0]
-                  for cls in con_ids if np.count_nonzero(part.con == cls) > 1]
     cfg = cfg or PdhgConfig()
+    expected = {"max_relative_spread": _exp(1e-7, "DERIVED")}
     worst = 0.0
+    var_labels = part.var.reshape(-1)
     for state in islice(iterates(inst, cfg.eps), iters):
-        xf = state.X.reshape(-1)
-        bound = 1e-7 * max(1.0, float(np.max(np.abs(state.X))))
-        for idx in var_groups:
-            spread = float(np.ptp(xf[idx]))
+        for key, values, labels in (("spread", state.X.reshape(-1), var_labels),
+                                    ("y_spread", state.y, part.con)):
+            bound = 1e-7 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+            spread = _class_spread(values, labels)
             worst = max(worst, spread / bound * 1e-7)
             if spread > bound:
                 return CaseReport(case_id, False,
-                                  {"iteration": state.t, "spread": spread,
-                                   "bound": bound},
-                                  expected={"max_relative_spread": _exp(1e-7, "DERIVED")})
-        ybound = 1e-7 * max(1.0, float(np.max(np.abs(state.y))) if inst.m else 1.0)
-        for idx in con_groups:
-            spread = float(np.ptp(state.y[idx]))
-            worst = max(worst, spread / ybound * 1e-7)
-            if spread > ybound:
-                return CaseReport(case_id, False,
-                                  {"iteration": state.t, "y_spread": spread,
-                                   "bound": ybound},
-                                  expected={"max_relative_spread": _exp(1e-7, "DERIVED")})
+                                  {"iteration": state.t, key: spread, "bound": bound},
+                                  expected=expected)
     return CaseReport(case_id, True,
                       {"iterations": iters, "worst_relative_spread": worst},
-                      expected={"max_relative_spread": _exp(1e-7, "DERIVED")},
-                      tolerance={"relative_spread": 1e-7})
+                      expected=expected, tolerance={"relative_spread": 1e-7})
 
 
 def check_scale_lemma(inst: SdpInstance, alphas=(0.5, 2.0, 10.0),
@@ -457,6 +454,14 @@ def check_aux_graph(instances, case_id: str = "aux_graph") -> CaseReport:
 _EQUIVARIANT_ALGOS = (Algo.VCWL, Algo.VC2FWL)
 
 
+def _relabels_to(base: Partition, var: np.ndarray, con: np.ndarray) -> bool:
+    """Whether cell colors ``var`` and constraint colors ``con``, pulled
+    back to ``base``'s frame, canonically relabel to ``base``."""
+    cv, cc = canonical_labels(var.reshape(-1).tolist(), con.tolist())
+    return (np.array_equal(np.array(cv).reshape(base.var.shape), base.var)
+            and np.array_equal(np.array(cc), base.con))
+
+
 def check_color_equivariance(instances, seed: int = 0,
                              case_id: str = "equivariance") -> CaseReport:
     """Stable partitions permute with the instance (transpose-invariant
@@ -474,19 +479,11 @@ def check_color_equivariance(instances, seed: int = 0,
             base, _ = run_to_stable(algo, inst)
             if algo in _EQUIVARIANT_ALGOS:
                 pp, _ = run_to_stable(algo, permuted)
-                pulled = pp.var[np.ix_(perm, perm)]
-                cv, cc = canonical_labels(pulled.reshape(-1).tolist(),
-                                          pp.con.tolist())
-                if not (np.array_equal(np.array(cv).reshape(inst.n, inst.n),
-                                       base.var)
-                        and np.array_equal(np.array(cc), base.con)):
+                if not _relabels_to(base, pp.var[np.ix_(perm, perm)], pp.con):
                     failures += 1
                     continue
             pr, _ = run_to_stable(algo, reordered)
-            cv, cc = canonical_labels(pr.var.reshape(-1).tolist(),
-                                      pr.con[cperm].tolist())
-            if not (np.array_equal(np.array(cv).reshape(inst.n, inst.n), base.var)
-                    and np.array_equal(np.array(cc), base.con)):
+            if not _relabels_to(base, pr.var, pr.con[cperm]):
                 failures += 1
     ok = failures == 0
     return CaseReport(case_id, ok, {"checked": checked, "failures": failures},
@@ -494,71 +491,6 @@ def check_color_equivariance(instances, seed: int = 0,
 
 
 # --- forward-pass property checks ---------------------------------------
-
-def nn_symmetry_deviation(arch: Arch, inst: SdpInstance, d: int,
-                          n_layers: int, seed: int) -> float:
-    states, _ = forward(arch, inst, d, n_layers, seed)
-    dev = 0.0
-    for st in states:
-        dev = max(dev, float(np.max(np.abs(st.var - st.var.transpose(1, 0, 2)))))
-    return dev
-
-
-def nn_equivariance_deviation(arch: Arch, inst: SdpInstance, d: int,
-                              n_layers: int, seed: int,
-                              perm_seed: int = 0) -> float:
-    rng = np.random.default_rng(perm_seed)
-    perm = rng.permutation(inst.n).tolist()
-    states, params = forward(arch, inst, d, n_layers, seed)
-    pstates, _ = forward(arch, permute_instance(inst, perm), d, n_layers, seed)
-    dev = 0.0
-    for st, pst in zip(states, pstates):
-        pulled = pst.var[np.ix_(perm, perm)]
-        dev = max(dev, float(np.max(np.abs(pulled - st.var))))
-    out = decode(states[-1], params)
-    pout = decode(pstates[-1], params)
-    dev = max(dev, float(np.max(np.abs(pout[np.ix_(perm, perm)] - out))))
-    return dev
-
-
-def nn_invariance_deviation(arch: Arch, inst: SdpInstance, d: int,
-                            n_layers: int, seed: int,
-                            perm_seed: int = 0) -> float:
-    rng = np.random.default_rng(perm_seed)
-    cperm = rng.permutation(inst.m).tolist()
-    states, _ = forward(arch, inst, d, n_layers, seed)
-    rstates, _ = forward(arch, reorder_constraints(inst, cperm), d, n_layers, seed)
-    dev = 0.0
-    for st, rst in zip(states, rstates):
-        dev = max(dev, float(np.max(np.abs(rst.var - st.var))))
-        if inst.m:
-            pulled = rst.con[cperm]
-            dev = max(dev, float(np.max(np.abs(pulled - st.con))))
-    return dev
-
-
-def nn_coloring_respect(arch: Arch, inst: SdpInstance, d: int,
-                        n_layers: int, seed: int) -> bool:
-    """Cells with equal refinement colors at round t must have bit-equal
-    embeddings at layer t (and likewise for constraints)."""
-    states, _ = forward(arch, inst, d, n_layers, seed)
-    wl = init_colors(inst)
-    algo = ARCH_TO_ALGO[Arch(arch)]
-    for t, st in enumerate(states):
-        for cls in set(wl.var_colors.reshape(-1).tolist()):
-            rows, cols = np.nonzero(wl.var_colors == cls)
-            sub = st.var[rows, cols]
-            if not np.all(sub == sub[0]):
-                return False
-        for cls in set(wl.con_colors.tolist()):
-            idx = np.nonzero(wl.con_colors == cls)[0]
-            sub = st.con[idx]
-            if not np.all(sub == sub[0]):
-                return False
-        if t < len(states) - 1:
-            wl = step(algo, wl, inst)
-    return True
-
 
 # tolerance of each forward-pass property, per architecture, read by the
 # harness and the CLI; symmetry is exact where the layer averages its
@@ -568,31 +500,73 @@ NN_TOLERANCES = {arch: {"symmetry": 0.0 if arch in _SYMMETRIZED_ARCHS else 1e-12
                  for arch in Arch}
 
 
+def _max_abs(diffs) -> float:
+    """Largest absolute entry over the arrays ``diffs``; NaN if any holds one."""
+    return float(np.max([np.max(np.abs(diff), initial=0.0) for diff in diffs]))
+
+
+def _respects_coloring(arch: Arch, inst: SdpInstance, states) -> bool:
+    """Cells with equal refinement colors at round t have bit-equal
+    embeddings at layer t (and likewise for constraints)."""
+    wl = init_colors(inst)
+    algo = ARCH_TO_ALGO[Arch(arch)]
+    for t, st in enumerate(states):
+        if t:
+            wl = step(algo, wl, inst)
+        if (_class_spread(st.var.reshape(-1, st.var.shape[-1]),
+                          wl.var_colors.reshape(-1)) != 0.0
+                or _class_spread(st.con, wl.con_colors) != 0.0):
+            return False
+    return True
+
+
+def nn_deviations(arch: Arch, inst: SdpInstance, d: int, n_layers: int,
+                  seed: int, perm_seed: int = 0) -> dict:
+    """Forward-pass properties from three passes: on ``inst``, on a vertex
+    permutation of it and on a constraint reordering of it.
+
+    Returns the largest deviation over all layers from symmetry, from
+    equivariance (also of the decoded output) and from constraint-order
+    invariance, keyed like ``NN_TOLERANCES``, and ``coloring``: whether the
+    embeddings respect the refinement colors round by round.
+    """
+    perm = np.random.default_rng(perm_seed).permutation(inst.n).tolist()
+    cperm = np.random.default_rng(perm_seed).permutation(inst.m).tolist()
+    states, params = forward(arch, inst, d, n_layers, seed)
+    pstates, _ = forward(arch, permute_instance(inst, perm), d, n_layers, seed)
+    rstates, _ = forward(arch, reorder_constraints(inst, cperm), d, n_layers, seed)
+    ix = np.ix_(perm, perm)
+    layers = list(zip(states, pstates, rstates))
+    out, pout = decode(states[-1], params), decode(pstates[-1], params)
+    return {
+        "symmetry": _max_abs(st.var - st.var.transpose(1, 0, 2) for st in states),
+        "equivariance": _max_abs([*(pst.var[ix] - st.var for st, pst, _ in layers),
+                                  pout[ix] - out]),
+        "invariance": _max_abs(diff for st, _, rst in layers
+                               for diff in (rst.var - st.var, rst.con[cperm] - st.con)),
+        "coloring": _respects_coloring(arch, inst, states),
+    }
+
+
 def case_nn_properties(instances, d: int = 8, n_layers: int = 3,
                        seeds=(0, 1), case_id: str = "nn_properties") -> CaseReport:
-    worst = {"symmetry": 0.0, "equivariance": 0.0, "invariance": 0.0}
+    # every architecture is held to the same three properties
+    worst = dict.fromkeys(NN_TOLERANCES[Arch.VCMPNN], 0.0)
     respect_failures = 0
     ok = True
     for inst in instances:
         for arch in Arch:
             for seed in seeds:
-                s = nn_symmetry_deviation(arch, inst, d, n_layers, seed)
-                e = nn_equivariance_deviation(arch, inst, d, n_layers, seed)
-                i = nn_invariance_deviation(arch, inst, d, n_layers, seed)
-                worst["symmetry"] = max(worst["symmetry"], s)
-                worst["equivariance"] = max(worst["equivariance"], e)
-                worst["invariance"] = max(worst["invariance"], i)
-                tol = NN_TOLERANCES[arch]
-                if s > tol["symmetry"] or e > tol["equivariance"] or i > tol["invariance"]:
-                    ok = False
-                if not nn_coloring_respect(arch, inst, d, n_layers, seed):
+                dev = nn_deviations(arch, inst, d, n_layers, seed)
+                for prop, tol in NN_TOLERANCES[arch].items():
+                    worst[prop] = max(worst[prop], dev[prop])
+                    ok = ok and dev[prop] <= tol
+                if not dev["coloring"]:
                     respect_failures += 1
                     ok = False
     return CaseReport(case_id, ok,
                       {"worst": worst, "respect_failures": respect_failures},
-                      expected={"symmetry": _exp(0.0, "TRIVIAL"),
-                                "equivariance": _exp(0.0, "TRIVIAL"),
-                                "invariance": _exp(0.0, "TRIVIAL"),
+                      expected={**{prop: _exp(0.0, "TRIVIAL") for prop in worst},
                                 "respect_failures": _exp(0, "DERIVED")},
                       tolerance={a.value: dict(NN_TOLERANCES[a]) for a in Arch})
 

@@ -20,7 +20,12 @@ signature tuples, sorted and interned each round (``reference_step``,
 ``reference_run_to_stable`` and the two ablation pipelines), and the
 per-cell forward layer that the segment sums of ``sdpxlab.nn`` replaced:
 one MLP call and one sorted row sum per cell, constraint or row
-(``reference_layer``, ``reference_triangular_attention``, ``csum``).
+(``reference_layer``, ``reference_triangular_attention``, ``csum``), and
+the verify property checks that ``verify.nn_deviations`` and one
+class-spread reduction replaced: one forward pass per property and one
+loop per color class (``nn_symmetry_deviation``,
+``nn_equivariance_deviation``, ``nn_invariance_deviation``,
+``nn_coloring_respect``, ``reference_trajectory_refinement``).
 """
 
 from __future__ import annotations
@@ -786,3 +791,126 @@ def reference_forward(arch, inst, d: int, n_layers: int, seed: int):
     for _ in range(n_layers):
         states.append(reference_layer(arch, states[-1], inst, params))
     return states, params
+
+
+# --- the property checks that ``verify.nn_deviations`` and
+# ``verify._class_spread`` replaced -----------------------------------------
+
+def nn_symmetry_deviation(arch, inst, d: int, n_layers: int, seed: int) -> float:
+    from sdpxlab.nn import forward
+
+    states, _ = forward(arch, inst, d, n_layers, seed)
+    dev = 0.0
+    for st in states:
+        dev = max(dev, float(np.max(np.abs(st.var - st.var.transpose(1, 0, 2)))))
+    return dev
+
+
+def nn_equivariance_deviation(arch, inst, d: int, n_layers: int, seed: int,
+                              perm_seed: int = 0) -> float:
+    from sdpxlab.core import permute_instance
+    from sdpxlab.nn import decode, forward
+
+    rng = np.random.default_rng(perm_seed)
+    perm = rng.permutation(inst.n).tolist()
+    states, params = forward(arch, inst, d, n_layers, seed)
+    pstates, _ = forward(arch, permute_instance(inst, perm), d, n_layers, seed)
+    dev = 0.0
+    for st, pst in zip(states, pstates):
+        pulled = pst.var[np.ix_(perm, perm)]
+        dev = max(dev, float(np.max(np.abs(pulled - st.var))))
+    out = decode(states[-1], params)
+    pout = decode(pstates[-1], params)
+    dev = max(dev, float(np.max(np.abs(pout[np.ix_(perm, perm)] - out))))
+    return dev
+
+
+def nn_invariance_deviation(arch, inst, d: int, n_layers: int, seed: int,
+                            perm_seed: int = 0) -> float:
+    from sdpxlab.core import reorder_constraints
+    from sdpxlab.nn import forward
+
+    rng = np.random.default_rng(perm_seed)
+    cperm = rng.permutation(inst.m).tolist()
+    states, _ = forward(arch, inst, d, n_layers, seed)
+    rstates, _ = forward(arch, reorder_constraints(inst, cperm), d, n_layers, seed)
+    dev = 0.0
+    for st, rst in zip(states, rstates):
+        dev = max(dev, float(np.max(np.abs(rst.var - st.var))))
+        if inst.m:
+            pulled = rst.con[cperm]
+            dev = max(dev, float(np.max(np.abs(pulled - st.con))))
+    return dev
+
+
+def nn_coloring_respect(arch, inst, d: int, n_layers: int, seed: int) -> bool:
+    """Cells with equal refinement colors at round t must have bit-equal
+    embeddings at layer t (and likewise for constraints)."""
+    from sdpxlab.colors import init_colors, step
+    from sdpxlab.nn import ARCH_TO_ALGO, Arch, forward
+
+    states, _ = forward(arch, inst, d, n_layers, seed)
+    wl = init_colors(inst)
+    algo = ARCH_TO_ALGO[Arch(arch)]
+    for t, st in enumerate(states):
+        for cls in set(wl.var_colors.reshape(-1).tolist()):
+            rows, cols = np.nonzero(wl.var_colors == cls)
+            sub = st.var[rows, cols]
+            if not np.all(sub == sub[0]):
+                return False
+        for cls in set(wl.con_colors.tolist()):
+            idx = np.nonzero(wl.con_colors == cls)[0]
+            sub = st.con[idx]
+            if not np.all(sub == sub[0]):
+                return False
+        if t < len(states) - 1:
+            wl = step(algo, wl, inst)
+    return True
+
+
+def reference_trajectory_refinement(inst, iters: int = 500, cfg=None,
+                                    case_id: str = "trajectory"):
+    """``verify.check_trajectory_refinement`` with one ``np.ptp`` per class
+    of at least two cells (or constraints); a failure reports the spread of
+    the first class over its bound."""
+    from itertools import islice
+
+    from sdpxlab.colors import Algo, run_to_stable
+    from sdpxlab.pdhg import PdhgConfig, iterates
+    from sdpxlab.verify import CaseReport, _exp
+
+    part, _ = run_to_stable(Algo.VC2FWL, inst)
+    var_groups = []
+    for cls in range(part.n_var_classes):
+        idx = np.nonzero(part.var.reshape(-1) == cls)[0]
+        if len(idx) > 1:
+            var_groups.append(idx)
+    con_ids = sorted(set(part.con.tolist()))
+    con_groups = [np.nonzero(part.con == cls)[0]
+                  for cls in con_ids if np.count_nonzero(part.con == cls) > 1]
+    cfg = cfg or PdhgConfig()
+    worst = 0.0
+    for state in islice(iterates(inst, cfg.eps), iters):
+        xf = state.X.reshape(-1)
+        bound = 1e-7 * max(1.0, float(np.max(np.abs(state.X))))
+        for idx in var_groups:
+            spread = float(np.ptp(xf[idx]))
+            worst = max(worst, spread / bound * 1e-7)
+            if spread > bound:
+                return CaseReport(case_id, False,
+                                  {"iteration": state.t, "spread": spread,
+                                   "bound": bound},
+                                  expected={"max_relative_spread": _exp(1e-7, "DERIVED")})
+        ybound = 1e-7 * max(1.0, float(np.max(np.abs(state.y))) if inst.m else 1.0)
+        for idx in con_groups:
+            spread = float(np.ptp(state.y[idx]))
+            worst = max(worst, spread / ybound * 1e-7)
+            if spread > ybound:
+                return CaseReport(case_id, False,
+                                  {"iteration": state.t, "y_spread": spread,
+                                   "bound": ybound},
+                                  expected={"max_relative_spread": _exp(1e-7, "DERIVED")})
+    return CaseReport(case_id, True,
+                      {"iterations": iters, "worst_relative_spread": worst},
+                      expected={"max_relative_spread": _exp(1e-7, "DERIVED")},
+                      tolerance={"relative_spread": 1e-7})

@@ -157,6 +157,35 @@ def test_bad_flag_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--problem", "maxcut", "--n", "5", "--d", "3"],
+    ["--problem", "maxcut", "--n", "4", "--d", "7"],
+    ["--problem", "max2sat", "--n", "1"],
+    ["--problem", "max2sat", "--n", "4", "--clauses", "-1"],
+    ["--problem", "lmi", "--n", "4", "--m", "-2"],
+], ids=["odd-degree-sum", "degree-too-large", "max2sat-one-var",
+        "negative-clauses", "negative-m"])
+def test_gen_bad_parameters_are_usage_errors(tmp_path, capsys, args):
+    path = tmp_path / "t.dat-s"
+    code, out, err = run(["gen", *args, "--seed", "0", "-o", str(path)], capsys)
+    assert code == 2 and out == "" and not path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--eps", "nan"], ["--eps", "inf"], ["--eps", "-1"],
+    ["--tol", "nan"], ["--tol", "inf"], ["--tol", "0"], ["--max-iters", "0"],
+], ids=["eps-nan", "eps-inf", "eps-negative", "tol-nan", "tol-inf", "tol-0",
+        "max-iters-0"])
+def test_solve_bad_config_is_usage_error(tmp_path, capsys, args):
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "4", "--p", "0.5",
+         "--seed", "1", "-o", str(path)], capsys)
+    code, out, err = run(["solve", str(path), *args], capsys)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_single_case(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(["verify", "--case", "vcwl_fail",

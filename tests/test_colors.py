@@ -193,7 +193,7 @@ def _assert_dense(state):
 
 
 def test_refinement_matches_python_oracle():
-    # round by round from init_colors, since nn_coloring_respect steps
+    # round by round from init_colors, since verify.nn_deviations steps
     # the colors alongside the layers
     for inst in differential_instances():
         for algo in ALL_ALGOS:

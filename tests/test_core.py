@@ -54,7 +54,8 @@ from oracles import (
     loop_permute_instance,
     loop_reorder_constraints,
 )
-from test_verify import prop32
+
+prop32 = prop_diag_pair_instance
 
 
 def operator_instances():

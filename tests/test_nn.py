@@ -22,10 +22,8 @@ from sdpxlab.nn import (
 )
 from sdpxlab.relaxations import er_graph, maxcut_sdp, vertexcover_sdp
 from sdpxlab.verify import (
-    nn_coloring_respect,
-    nn_equivariance_deviation,
-    nn_invariance_deviation,
-    nn_symmetry_deviation,
+    NN_TOLERANCES,
+    nn_deviations,
     prop_diag_pair_instance,
     sample_instances,
 )
@@ -96,7 +94,7 @@ def test_init_equality_classes_match_init_colors():
 
 def test_ign_preserves_symmetry_exactly():
     inst = small_inst()
-    assert nn_symmetry_deviation(Arch.VC2IGN, inst, D, 3, 0) == 0.0
+    assert nn_deviations(Arch.VC2IGN, inst, D, 3, 0)["symmetry"] == 0.0
 
 
 def test_fmpnn_separates_diagonal_while_vcmpnn_cannot():
@@ -117,17 +115,17 @@ def test_attention_rows_sum_to_one():
 
 @pytest.mark.parametrize("arch", list(Arch))
 def test_symmetry_equivariance_invariance(arch):
-    inst = small_inst()
-    assert nn_symmetry_deviation(arch, inst, D, 3, 0) <= 1e-12
-    assert nn_equivariance_deviation(arch, inst, D, 3, 0) <= 1e-9
-    assert nn_invariance_deviation(arch, inst, D, 3, 0) <= 1e-12
+    dev = nn_deviations(arch, small_inst(), D, 3, 0)
+    assert dev["symmetry"] <= 1e-12
+    assert dev["equivariance"] <= 1e-9
+    assert dev["invariance"] <= 1e-12
+    assert all(dev[prop] <= tol for prop, tol in NN_TOLERANCES[arch].items())
 
 
 @pytest.mark.parametrize("arch", list(Arch))
 def test_coloring_respect_bit_exact(arch):
-    inst = small_inst()
-    assert nn_coloring_respect(arch, inst, D, 3, 0)
-    assert nn_coloring_respect(arch, prop_diag_pair_instance(), D, 3, 1)
+    assert nn_deviations(arch, small_inst(), D, 3, 0)["coloring"]
+    assert nn_deviations(arch, prop_diag_pair_instance(), D, 3, 1)["coloring"]
 
 
 @pytest.mark.parametrize("arch", list(Arch))
@@ -136,7 +134,7 @@ def test_coloring_respect_on_noisy_coefficients(arch):
     # float noise below the quantum; the embeddings must still agree
     from sdpxlab.relaxations import lmi_sdp
     inst = lmi_sdp(4, 5, seed=3)
-    assert nn_coloring_respect(arch, inst, D, 2, 0)
+    assert nn_deviations(arch, inst, D, 2, 0)["coloring"]
 
 
 def test_layer_shape_checks():

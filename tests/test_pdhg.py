@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import islice
 
@@ -419,10 +420,12 @@ def test_unbounded_instance_reports_not_converged():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PdhgConfig(eps=-1.0).validate()
-    with pytest.raises(ValueError):
-        PdhgConfig(tol=0.0).validate()
+    for bad in ({"eps": -1.0}, {"tol": 0.0}, {"max_iters": 0},
+                {"eps": math.nan}, {"eps": math.inf},
+                {"tol": math.nan}, {"tol": math.inf}):
+        with pytest.raises(ValueError):
+            PdhgConfig(**bad).validate()
+    PdhgConfig(eps=0.0).validate()
 
 
 # --- minimum-norm continuation -------------------------------------------

@@ -1,13 +1,21 @@
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
 import pytest
 
+import oracles
+import sdpxlab.colors as colors_mod
+import sdpxlab.nn as nn_mod
+import sdpxlab.verify as verify_mod
+from sdpxlab.colors import Partition
+from sdpxlab.nn import Arch, decode, forward
 from sdpxlab.pdhg import PdhgConfig, restarted_iterates
-
+from sdpxlab.relaxations import er_graph, maxcut_sdp
 from sdpxlab.verify import (
     CASE_IDS,
     CASES,
+    NN_TOLERANCES,
     case_delta_strict,
     case_fwlplus_strict,
     case_incomparable,
@@ -21,6 +29,7 @@ from sdpxlab.verify import (
     check_hierarchy,
     check_scale_lemma,
     check_trajectory_refinement,
+    nn_deviations,
     pattern_matches,
     prop_diag_pair_instance,
     run_all,
@@ -28,6 +37,7 @@ from sdpxlab.verify import (
     sample_instances,
     trajectory_instances,
 )
+from test_core import operator_instances
 
 
 def prop32():
@@ -63,8 +73,6 @@ def test_trajectory_case_on_prop32():
 
 
 def test_trajectory_refinement_holds_across_restarts(monkeypatch):
-    import sdpxlab.verify as verify_mod
-
     # the spread check of the trajectory case, along the iterates of
     # pdhg.solve, whose primal weight changes at every restart
     monkeypatch.setattr(verify_mod, "iterates", restarted_iterates)
@@ -83,6 +91,116 @@ def test_trajectory_spread_zero_on_fully_symmetric_instance():
     report = check_trajectory_refinement(inst, iters=100)
     assert report.passed
     assert report.observed["worst_relative_spread"] == 0.0
+
+
+def differential_instances():
+    return operator_instances() + sample_instances(3, 2)
+
+
+def test_trajectory_check_matches_the_per_class_oracle():
+    # the solver cannot step without a constraint operator (m = 0)
+    for inst in (inst for inst in differential_instances() if inst.nnz):
+        got = check_trajectory_refinement(inst, iters=100).to_json_dict()
+        want = oracles.reference_trajectory_refinement(inst, iters=100).to_json_dict()
+        assert got["pass"] and got == want, (got, want)
+
+
+def _one_class(algo, inst, max_rounds=None):
+    return Partition(var=np.zeros((inst.n, inst.n), dtype=np.int64),
+                     con=np.ones(inst.m, dtype=np.int64), rounds=1), 1
+
+
+def test_trajectory_check_fails_when_classes_are_too_coarse(monkeypatch):
+    # every cell in one class: the first iterate off the diagonal breaks it
+    inst = maxcut_sdp(er_graph(6, 0.5, 1))
+    monkeypatch.setattr(verify_mod, "run_to_stable", _one_class)
+    report = check_trajectory_refinement(inst, iters=50)
+    assert not report.passed
+    assert report.observed["spread"] > report.observed["bound"] > 0
+    assert report.observed["iteration"] >= 1
+    # with one class per block the largest spread is the first one
+    monkeypatch.setattr(colors_mod, "run_to_stable", _one_class)
+    want = oracles.reference_trajectory_refinement(inst, iters=50)
+    assert report.to_json_dict() == want.to_json_dict()
+
+
+def _perturbed_forward(arch, inst, d, n_layers, seed):
+    """``forward`` plus a bump that depends on the cell and constraint
+    index, which breaks every property that ``nn_deviations`` checks."""
+    states, params = forward(arch, inst, d, n_layers, seed)
+    n, m = inst.n, inst.m
+    var_bump = 1e-6 * np.arange(n * n, dtype=np.float64).reshape(n, n, 1)
+    con_bump = 1e-6 * np.arange(m, dtype=np.float64).reshape(m, 1)
+    return [replace(st, var=st.var + var_bump, con=st.con + con_bump)
+            for st in states], params
+
+
+def _oracle_deviations(*args) -> dict:
+    return {"symmetry": oracles.nn_symmetry_deviation(*args),
+            "equivariance": oracles.nn_equivariance_deviation(*args),
+            "invariance": oracles.nn_invariance_deviation(*args),
+            "coloring": oracles.nn_coloring_respect(*args)}
+
+
+@pytest.mark.parametrize("arch", list(Arch))
+def test_nn_deviations_match_the_per_property_oracles(arch, monkeypatch):
+    # the layers keep every property exactly, so the deviations are zero;
+    # passes bumped per cell and per constraint compare deviations above
+    # the tolerances and failed colorings
+    for inst in differential_instances():
+        for seed in (0, 1):
+            args = (arch, inst, 4, 2, seed)
+            assert nn_deviations(*args) == _oracle_deviations(*args), (inst.n, inst.m, seed)
+    monkeypatch.setattr(verify_mod, "forward", _perturbed_forward)
+    monkeypatch.setattr(nn_mod, "forward", _perturbed_forward)
+    invariance = []
+    for inst in differential_instances():
+        args = (arch, inst, 4, 1, 0)
+        dev = nn_deviations(*args)
+        assert dev == _oracle_deviations(*args), (inst.n, inst.m)
+        assert dev["symmetry"] > NN_TOLERANCES[arch]["symmetry"]
+        assert dev["equivariance"] > NN_TOLERANCES[arch]["equivariance"]
+        assert dev["coloring"] is False
+        invariance.append(dev["invariance"])
+    # zero where the drawn constraint order is the identity
+    assert 0 < np.count_nonzero(invariance) < len(invariance)
+
+
+def test_nn_deviations_flag_perturbed_constraints_and_readout(monkeypatch):
+    # maxcut's diagonal constraints share one color, so a bump on the
+    # constraint embeddings alone breaks the coloring
+    inst = maxcut_sdp(er_graph(5, 0.6, 2))
+    ramp = 1e-6 * np.arange(inst.n * inst.n, dtype=np.float64).reshape(inst.n, inst.n)
+
+    def con_bumped(arch, inst, d, n_layers, seed):
+        states, params = forward(arch, inst, d, n_layers, seed)
+        return [replace(st, con=st.con + ramp[0, :inst.m, None]) for st in states], params
+
+    def readout_bumped(state, params):
+        return decode(state, params) + ramp
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verify_mod, "forward", con_bumped)
+        dev = nn_deviations(Arch.VCMPNN, inst, 4, 1, 0)
+    assert not dev["coloring"] and dev["symmetry"] <= 1e-12
+    monkeypatch.setattr(verify_mod, "decode", readout_bumped)
+    dev = nn_deviations(Arch.VCMPNN, inst, 4, 1, 0)
+    assert dev["coloring"] and dev["equivariance"] > NN_TOLERANCES[Arch.VCMPNN]["equivariance"]
+
+
+def test_nn_properties_runs_three_forward_passes_per_input(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(verify_mod, "forward", counted)
+    insts = sample_instances(9, per_generator=1, n_lo=4, n_hi=5,
+                             generators=("maxcut", "maxclique"))
+    report = case_nn_properties(insts, d=4, n_layers=1, seeds=(0, 1))
+    assert report.passed, report.observed
+    assert len(calls) == 3 * len(insts) * len(Arch) * 2
 
 
 def test_scale_lemma_case():
