@@ -29,13 +29,12 @@ _EDGE_TRI_TO_VAR = 0
 _EDGE_VAR_TO_TRI = 1
 
 
-def aux_graph_stable(inst: SdpInstance, max_n: int = AUX_N_CAP,
-                     max_rounds: int | None = None) -> Partition:
+def aux_graph_stable(inst: SdpInstance) -> Partition:
     """Stable variable/constraint partition via 1-WL on the auxiliary graph."""
     n, m = inst.n, inst.m
-    if n > max_n:
+    if n > AUX_N_CAP:
         raise SizeGuardError(
-            f"auxiliary graph needs n^3 = {n ** 3} triple nodes; capped at n <= {max_n}")
+            f"auxiliary graph needs n^3 = {n ** 3} triple nodes; capped at n <= {AUX_N_CAP}")
 
     n_var = n * n
     con_base = n_var
@@ -82,10 +81,9 @@ def aux_graph_stable(inst: SdpInstance, max_n: int = AUX_N_CAP,
 
     # first-occurrence labels intern the signatures: equal ids iff equal
     cur = canonical_labels(colors, [])[0]
-    if max_rounds is None:
-        max_rounds = len(colors) + 1
     rounds_used = 0
-    for rounds_used in range(1, max_rounds + 1):
+    # at most one strict refinement per node, plus the confirming round
+    for rounds_used in range(1, len(colors) + 2):
         sigs = [(cur[x], tuple(sorted((ec, cur[src]) for ec, src in in_edges[x])))
                 for x in range(len(cur))]
         nxt = canonical_labels(sigs, [])[0]

@@ -87,8 +87,8 @@ def _build_parser() -> _CliParser:
     p = sub.add_parser("solve", help="solve an instance")
     p.add_argument("file")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=20000)
+    p.add_argument("--tol", type=float, default=PdhgConfig.tol)
+    p.add_argument("--max-iters", type=int, default=PdhgConfig.max_iters)
     p.add_argument("--warm-start", default=None)
     p.add_argument("--json", dest="json_out", default=None)
 
@@ -177,7 +177,7 @@ def _read_warm_start(path: str, inst):
 
 
 def _cmd_solve(args) -> int:
-    cfg = PdhgConfig(eps=args.eps if args.eps is not None else 1e-6,
+    cfg = PdhgConfig(eps=args.eps if args.eps is not None else PdhgConfig.eps,
                      tol=args.tol, max_iters=args.max_iters)
     try:
         cfg.validate()

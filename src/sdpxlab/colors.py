@@ -223,18 +223,22 @@ def _partition(var: np.ndarray, con: np.ndarray, rounds: int) -> Partition:
                      con=np.array(pc, dtype=np.int64), rounds=rounds)
 
 
+def _round_bound(inst: SdpInstance) -> int:
+    """n^2 + m + 1, an upper bound on the number of strict refinements."""
+    return inst.n * inst.n + inst.m + 1
+
+
 def run_to_stable(algo: Algo, inst: SdpInstance,
                   max_rounds: int | None = None) -> tuple[Partition, int]:
     """Iterate ``step`` until the joint partition stops refining.
 
     Returns the relabeling-canonical stable partition and the number of
     rounds executed (the final round is the one that confirmed
-    stability).  ``max_rounds`` defaults to n^2 + m + 1, an upper bound
-    on the number of strict refinements.
+    stability).  ``max_rounds`` defaults to ``_round_bound(inst)``.
     """
     algo = Algo(algo)
     if max_rounds is None:
-        max_rounds = inst.n * inst.n + inst.m + 1
+        max_rounds = _round_bound(inst)
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     state = init_colors(inst)
@@ -276,28 +280,22 @@ def _multiset_fwl_stable(var: np.ndarray, max_rounds: int) -> tuple[np.ndarray, 
     raise StabilizationError("multiset refinement did not stabilize")
 
 
-def vcwl_then_multiset_fwl(inst: SdpInstance,
-                           max_rounds: int | None = None) -> Partition:
+def vcwl_then_multiset_fwl(inst: SdpInstance) -> Partition:
     """Run plain bipartite refinement to stability, then multiset pair
     refinement on its variable colors (constraint aggregation frozen)."""
-    if max_rounds is None:
-        max_rounds = inst.n * inst.n + inst.m + 1
-    stage1, r1 = run_to_stable(Algo.VCWL, inst, max_rounds)
-    var, r2 = _multiset_fwl_stable(stage1.var, max_rounds)
+    stage1, r1 = run_to_stable(Algo.VCWL, inst)
+    var, r2 = _multiset_fwl_stable(stage1.var, _round_bound(inst))
     return _partition(var, stage1.con, r1 + r2)
 
 
-def joint_encoding_stable(inst: SdpInstance,
-                          max_rounds: int | None = None) -> Partition:
+def joint_encoding_stable(inst: SdpInstance) -> Partition:
     """Initialize each cell from (C_ij, multiset of (A_kij, b_k) over all
     k), then run multiset pair refinement; constraints are never revisited.
 
     The multiset over all k is read from the pairs with A_kij != 0: the
     rest are (0, b_k) over the other constraints, fixed by those pairs."""
-    if max_rounds is None:
-        max_rounds = inst.n * inst.n + inst.m + 1
     view, (k, _, _), n = inst.int_view, inst.coo, inst.n
     joint = _multiset_ids(view.A * _n_ids(view.b) + view.b[k], view.by_cell)
     var = _intern_rows(np.stack([view.C.reshape(-1), joint], axis=1)).reshape(n, n)
-    var, rounds = _multiset_fwl_stable(var, max_rounds)
+    var, rounds = _multiset_fwl_stable(var, _round_bound(inst))
     return _partition(var, view.b, rounds)

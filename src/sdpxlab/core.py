@@ -185,13 +185,21 @@ class IntView(NamedTuple):
     by_con: tuple
 
 
+def quantize_array(x) -> np.ndarray:
+    """Float64 array of ``quantize_value`` of each element of ``x``;
+    ``quantize_value`` runs once per distinct value."""
+    arr = np.asarray(x, dtype=np.float64)
+    uniq, inv = np.unique(arr.reshape(-1), return_inverse=True)
+    q = np.array([quantize_value(v) for v in uniq.tolist()], dtype=np.float64)
+    return q[inv.reshape(-1)].reshape(arr.shape)
+
+
 def _quantized_ids(x) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the quantized elements of ``x`` and whether each is nonzero;
-    ``quantize_key`` runs once per distinct value."""
-    uniq, inv = np.unique(np.asarray(x, dtype=np.float64).reshape(-1), return_inverse=True)
-    keys = np.array([quantize_key(v) for v in uniq.tolist()], dtype=np.int64)
-    ids, inv = np.unique(keys, return_inverse=True)[1], inv.reshape(-1)
-    return ids[inv].reshape(np.shape(x)), (keys[inv] != ZERO_KEY).reshape(np.shape(x))
+    """Ids of the quantized elements of ``x``, ordered like their
+    ``quantize_key``, and whether each is nonzero."""
+    keys = quantize_array(x).view(np.int64)  # the bit patterns of quantize_key
+    ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
+    return ids, keys != ZERO_KEY
 
 
 def _segment_groups(seg: np.ndarray, size: int, order: np.ndarray) -> tuple:
@@ -360,8 +368,9 @@ def constraint_residual(inst: SdpInstance, X) -> float:
 RANK_GUARD_M = 64
 
 
-def constraint_rank(inst: SdpInstance, tol: float = 1e-9) -> int:
-    """Rank of the constraint family via the Gram matrix of vectorized A_k.
+def constraint_rank(inst: SdpInstance) -> int:
+    """Rank of the constraint family via the Gram matrix of vectorized A_k:
+    the eigenvalues above 1e-9 times the largest (or 1, if that is less).
 
     Diagnostic only; linear independence is otherwise assumed.  Guarded to
     m <= 64 since the Gram matrix is dense in m.
@@ -375,7 +384,7 @@ def constraint_rank(inst: SdpInstance, tol: float = 1e-9) -> int:
     v[k, cell] = val
     gram = v @ v.T
     w = np.linalg.eigvalsh(gram)
-    return int(np.count_nonzero(w > tol * max(1.0, float(w[-1]))))
+    return int(np.count_nonzero(w > 1e-9 * max(1.0, float(w[-1]))))
 
 
 def permute_instance(inst: SdpInstance, perm) -> SdpInstance:

@@ -1,13 +1,17 @@
 """Forward passes of the six embedding architectures, inference only.
 
 Weights come from a seeded xorshift stream, uniform in [-0.5, 0.5]; no
-training happens anywhere.  Each message MLP runs once per layer on all
-its rows: one per ``coo`` entry, per cell, or per triple (i, j, u) of the
-pair layers, which run in blocks of consecutive i of about ``_BLOCK_ROWS``
-rows.  Every multiset reduction is one ``_segment_sum``: rows sorted by
-(segment, row values in lexicographic order), each segment added in that
-order.  So cells whose refinement colors agree get bit-identical
-embeddings, and permuting the instance permutes the embeddings exactly.
+training happens anywhere.  ``build_params(arch, d, n_layers, seed)``
+draws them; ``init_embeddings(inst, params)`` and
+``layer(state, inst, params)`` read the architecture, the width and the
+weights from ``params``, and ``forward`` chains them.  Each message MLP
+runs once per layer on all its rows: one per ``coo`` entry, per cell, or
+per triple (i, j, u) of the pair layers, which run in blocks of
+consecutive i of about ``_BLOCK_ROWS`` rows.  Every multiset reduction
+is one ``_segment_sum``: rows sorted by (segment, row values in
+lexicographic order), each segment added in that order.  So cells whose
+refinement colors agree get bit-identical embeddings, and permuting the
+instance permutes the embeddings exactly.
 """
 
 from __future__ import annotations
@@ -19,19 +23,10 @@ from enum import Enum
 import numpy as np
 
 from .colors import Algo
-from .core import SdpInstance, ShapeError, _segment_groups, quantize_value, symmetrize
+from .core import SdpInstance, ShapeError, _segment_groups, quantize_array, symmetrize
 
 _BLOCK_ROWS = 1 << 12  # rows per block of a pair layer
 _SIGN = np.uint64(1 << 63)
-
-
-def _quantized(values) -> np.ndarray:
-    """Coefficients as the refinement sees them: rounded to the quantum;
-    ``quantize_value`` runs once per distinct value."""
-    arr = np.asarray(values, dtype=np.float64)
-    uniq, inv = np.unique(arr.reshape(-1), return_inverse=True)
-    q = np.array([quantize_value(v) for v in uniq.tolist()], dtype=np.float64)
-    return q[inv.reshape(-1)].reshape(arr.shape)
 
 
 class Arch(str, Enum):
@@ -231,20 +226,17 @@ def _pair_sum(n: int, d: int, block_rows) -> np.ndarray:
     return out.reshape(n, n, d)
 
 
-def init_embeddings(inst: SdpInstance, d: int, seed: int,
-                    params: ArchParams | None = None) -> EmbeddingState:
+def init_embeddings(inst: SdpInstance, params: ArchParams) -> EmbeddingState:
     """Per-cell embedding of (C_ij, diag flag) and per-constraint
-    embedding of b_k through the seeded two-layer encoders."""
-    if params is None:
-        # the encoders are the first draws of every architecture's stream
-        params = build_params(Arch.VCMPNN, d, 0, seed)
+    embedding of b_k through the two-layer encoders of ``params``, which
+    are the first draws of every architecture's weight stream."""
     init_v, init_c, d = params.init_v, params.init_c, params.d
     n = inst.n
     feats = np.zeros((n, n, 2))
-    feats[:, :, 0] = _quantized(inst.C)
+    feats[:, :, 0] = quantize_array(inst.C)
     feats[:, :, 1] = np.eye(n)
     var = init_v(feats)
-    con = init_c(_quantized(inst.b).reshape(-1, 1)) if inst.m else np.zeros((0, d))
+    con = init_c(quantize_array(inst.b).reshape(-1, 1)) if inst.m else np.zeros((0, d))
     return EmbeddingState(var=var, con=con, layer=0)
 
 
@@ -252,7 +244,7 @@ def _neighbor_messages(inst, H, hc, lp, d):
     """Messages along the ``coo`` entries, to cells and to constraints."""
     n = inst.n
     k, cell, val = inst.coo
-    q = _quantized(val)[:, None]
+    q = quantize_array(val)[:, None]
     to_cell = lp["msg_cv"](np.concatenate([q, hc[k]], axis=1))
     to_con = lp["msg_vc"](np.concatenate([q, H.reshape(n * n, d)[cell]], axis=1))
     return (_segment_sum(to_cell, cell, n * n).reshape(n, n, d),
@@ -276,10 +268,10 @@ def _ign_message(H: np.ndarray, pars: IgnParams, d: int) -> np.ndarray:
     return out
 
 
-def _layer_norm(x: np.ndarray, gamma, beta, eps: float = 1e-5) -> np.ndarray:
+def _layer_norm(x: np.ndarray, gamma, beta) -> np.ndarray:
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+    return (x - mu) / np.sqrt(var + 1e-5) * gamma + beta
 
 
 def triangular_attention(H: np.ndarray, pars: AttentionParams
@@ -297,12 +289,10 @@ def triangular_attention(H: np.ndarray, pars: AttentionParams
     return out, alpha
 
 
-def layer(arch: Arch, state: EmbeddingState, inst: SdpInstance,
+def layer(state: EmbeddingState, inst: SdpInstance,
           params: ArchParams) -> EmbeddingState:
-    """One forward layer of ``arch``; layer index picks the weights."""
-    arch = Arch(arch)
-    if params.arch is not arch:
-        raise ShapeError(f"params built for {params.arch}, not {arch}")
+    """One forward layer of ``params.arch``; layer index picks the weights."""
+    arch = params.arch
     n, d = inst.n, params.d
     if state.var.shape != (n, n, d) or state.con.shape[0] != inst.m:
         raise ShapeError("embedding state does not match the instance")
@@ -363,9 +353,9 @@ def forward(arch: Arch, inst: SdpInstance, d: int, n_layers: int, seed: int
             ) -> tuple[list[EmbeddingState], ArchParams]:
     """Init plus ``n_layers`` layers; returns every intermediate state."""
     params = build_params(arch, d, n_layers, seed)
-    states = [init_embeddings(inst, d, seed, params=params)]
+    states = [init_embeddings(inst, params)]
     for _ in range(n_layers):
-        states.append(layer(arch, states[-1], inst, params))
+        states.append(layer(states[-1], inst, params))
     return states, params
 
 

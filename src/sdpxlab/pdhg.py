@@ -47,6 +47,8 @@ from .core import (
 EPS_LADDER = (1e-2, 1e-4, 1e-6)
 RHO = 0.9  # fraction of the step-size stability bound a*b*lambda_max < 1 in use
 RESTART_DECAY = 0.2  # restart once the fixed-point residual falls to this fraction
+LAMBDA_TOL = 1e-6  # relative change that stops the power iteration for lambda_max
+LAMBDA_MAX_ITERS = 5000  # power-iteration steps per random start
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,7 @@ def project_psd(M) -> np.ndarray:
     return symmetrize((V[:, k:] * w[k:]) @ V[:, k:].T)
 
 
-def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
-                  max_iters: int = 5000) -> float:
+def lambda_max_op(inst: SdpInstance) -> float:
     """Largest eigenvalue of X -> A*(A(X)) by power iteration on S^n."""
     if inst.nnz == 0:
         raise NumericalError("constraint operator is zero")
@@ -133,7 +134,7 @@ def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
             M = symmetrize(rng.standard_normal((inst.n, inst.n)))
             M /= np.linalg.norm(M)
             lam = 0.0
-            for _ in range(max_iters):
+            for _ in range(LAMBDA_MAX_ITERS):
                 T = apply_A_adjoint(inst, apply_A(inst, M))
                 nrm = float(np.linalg.norm(T))
                 if nrm == 0.0:
@@ -143,7 +144,7 @@ def lambda_max_op(inst: SdpInstance, tol: float = 1e-6,
                     raise NumericalError(f"operator norm estimate is {new_lam}; "
                                          "constraint coefficients too large")
                 M = T / nrm
-                if abs(new_lam - lam) <= tol * max(abs(new_lam), 1e-30):
+                if abs(new_lam - lam) <= LAMBDA_TOL * max(abs(new_lam), 1e-30):
                     return new_lam
                 lam = new_lam
             else:
@@ -297,11 +298,10 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     return SolutionTriple(X=state.X, y=state.y, S=S), stats
 
 
-def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None,
-                       ladder: tuple[float, ...] = EPS_LADDER,
-                       polish: bool = True
+def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
                        ) -> tuple[SolutionTriple, list[PdhgStats]]:
-    """Warm-started solves over a shrinking regularization ladder.
+    """Warm-started solves over the shrinking regularization ladder
+    ``EPS_LADDER``, then a polish stage.
 
     The ladder stages pull the iterate toward the minimum-Frobenius-norm
     optimum; the final polish stage re-solves without regularization and
@@ -313,9 +313,7 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None,
     X = y = None
     omega = 1.0
     all_stats: list[PdhgStats] = []
-    stages = [(e, False) for e in ladder]
-    if polish:
-        stages.append((0.0, True))
+    stages = [(e, False) for e in EPS_LADDER] + [(0.0, True)]
     for idx, (eps, is_polish) in enumerate(stages):
         # a heavily regularized stage sits O(eps) away from the next
         # stage's optimum, so solving it beyond eps/100 is wasted work
@@ -330,9 +328,9 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None,
     return triple, all_stats
 
 
-def min_norm_solution(inst: SdpInstance, cfg: PdhgConfig | None = None) -> np.ndarray:
+def min_norm_solution(inst: SdpInstance) -> np.ndarray:
     """Primal optimum of minimum Frobenius norm, via continuation."""
-    triple, _ = solve_continuation(inst, cfg)
+    triple, _ = solve_continuation(inst)
     return triple.X
 
 

@@ -15,6 +15,10 @@ import numpy as np
 
 from .core import SdpInstance, SdpxlabError, ShapeError, SparseSymMatrix, symmetrize
 
+PAIRING_RETRIES = 100  # seeds the pairing model tries before giving up
+LMI_MARGIN = 0.1  # stability margin of the recovered system matrix
+LMI_RETRIES = 10  # seeds the system recovery tries before giving up
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -83,13 +87,13 @@ def er_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n_nodes=n, edges=edges)
 
 
-def regular_graph(n: int, d: int, seed: int, max_retries: int = 100) -> Graph:
+def regular_graph(n: int, d: int, seed: int) -> Graph:
     """d-regular graph by the pairing model, rejecting loops/multi-edges."""
     if n * d % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if not 0 <= d < n:
         raise ValueError(f"degree must satisfy 0 <= d < n, got d={d}")
-    for attempt in range(max_retries):
+    for attempt in range(PAIRING_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
@@ -108,7 +112,7 @@ def regular_graph(n: int, d: int, seed: int, max_retries: int = 100) -> Graph:
             edges.add(e)
         if ok:
             return Graph(n_nodes=n, edges=tuple((u, v, 1.0) for u, v in sorted(edges)))
-    raise SdpxlabError(f"pairing model failed after {max_retries} retries")
+    raise SdpxlabError(f"pairing model failed after {PAIRING_RETRIES} retries")
 
 
 def _diag_constraints(indices, n) -> list[SparseSymMatrix]:
@@ -216,17 +220,16 @@ def random_clauses(n_vars: int, k: int, seed: int) -> ClauseMatrix:
     return ClauseMatrix(matrix=rows)
 
 
-def lmi_sdp(n: int, m: int, seed: int, stability_margin: float = 0.1,
-            max_retries: int = 10) -> SdpInstance:
+def lmi_sdp(n: int, m: int, seed: int) -> SdpInstance:
     """Stability-certificate instance built around a known feasible point.
 
     A random trace-one positive definite P is sampled, a system matrix is
-    recovered from the vectorized equation sym(A_sys^T P) = -margin/2 * I
+    recovered from the vectorized equation sym(A_sys^T P) = -LMI_MARGIN/2 * I
     (dense least-squares solve), and m sparse direction vectors turn the
     matrix inequality into scalar constraints satisfied exactly by P.  A
     trace constraint is appended last; the objective is random symmetric.
     """
-    for attempt in range(max_retries):
+    for attempt in range(LMI_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         B = rng.standard_normal((n, n))
         P = B @ B.T + 0.1 * np.eye(n)
@@ -237,11 +240,11 @@ def lmi_sdp(n: int, m: int, seed: int, stability_margin: float = 0.1,
             E = np.zeros((n, n))
             E.flat[col] = 1.0
             op[:, col] = (E.T @ P + P @ E).reshape(-1)
-        target = (-stability_margin * np.eye(n)).reshape(-1)
+        target = (-LMI_MARGIN * np.eye(n)).reshape(-1)
         sol, _, _, _ = np.linalg.lstsq(op, target, rcond=None)
         A_sys = sol.reshape(n, n)
         if np.linalg.norm(A_sys.T @ P + P @ A_sys
-                          + stability_margin * np.eye(n)) > 1e-8:
+                          + LMI_MARGIN * np.eye(n)) > 1e-8:
             continue  # inconsistent solve; resample
 
         A = []
@@ -259,7 +262,7 @@ def lmi_sdp(n: int, m: int, seed: int, stability_margin: float = 0.1,
         C = symmetrize(rng.standard_normal((n, n)))
         return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
                            metadata={"problem": "lmi", "offset": 0.0, "scale": 1.0})
-    raise SdpxlabError(f"system recovery failed after {max_retries} retries")
+    raise SdpxlabError(f"system recovery failed after {LMI_RETRIES} retries")
 
 
 def lp_to_sdp(c, A, b) -> SdpInstance:

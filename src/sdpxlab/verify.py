@@ -167,11 +167,6 @@ def diag_block_instance() -> SdpInstance:
 
 # --- pattern helpers ----------------------------------------------------
 
-def _canon_flat(ids) -> tuple:
-    remap: dict = {}
-    return tuple(remap.setdefault(c, len(remap)) for c in ids)
-
-
 def pattern_matches(var: np.ndarray, pattern: str) -> bool:
     """Compare a color matrix against a letter pattern like 'abc/bad/cda'
     up to relabeling."""
@@ -179,7 +174,8 @@ def pattern_matches(var: np.ndarray, pattern: str) -> bool:
     letters = [ch for row in rows for ch in row]
     if len(letters) != var.size:
         raise ValueError("pattern size does not match matrix")
-    return _canon_flat(letters) == _canon_flat(var.reshape(-1).tolist())
+    return (canonical_labels(letters, [])[0]
+            == canonical_labels(var.reshape(-1).tolist(), [])[0])
 
 
 def _partition_cell(part_or_state, i, j):
@@ -196,11 +192,11 @@ PIPELINE_STAGE1_PATTERN = "abeee/bdccc/ecdcc/eccdc/ecccf"
 PIPELINE_STAGE2_PATTERN = "abccd/beffg/cfkhi/cfhki/dgiij"
 
 
-def case_vcwl_fail(cfg: PdhgConfig | None = None) -> CaseReport:
+def case_vcwl_fail() -> CaseReport:
     inst = prop_diag_pair_instance()
     p1, _ = run_to_stable(Algo.VCWL, inst)
     p2, _ = run_to_stable(Algo.VC2WL, inst)
-    X = min_norm_solution(inst, cfg)
+    X = min_norm_solution(inst)
     obs = {
         "vcwl_pattern_ok": pattern_matches(p1.var, VCWL_DIAG_PATTERN),
         "vcwl_merges_diag": _partition_cell(p1, 0, 0) == _partition_cell(p1, 2, 2),
@@ -220,12 +216,12 @@ def case_vcwl_fail(cfg: PdhgConfig | None = None) -> CaseReport:
         tolerance={"x11": 5e-3, "x33": 5e-3})
 
 
-def case_vc2wl_fail(cfg: PdhgConfig | None = None) -> CaseReport:
+def case_vc2wl_fail() -> CaseReport:
     inst = latin_square_instance()
     p2, _ = run_to_stable(Algo.VC2WL, inst)
     pf, _ = run_to_stable(Algo.VC2FWL, inst)
     pd, _ = run_to_stable(Algo.DELTA_VC2WL, inst)
-    X = min_norm_solution(inst, cfg)
+    X = min_norm_solution(inst)
     obs = {
         "vc2wl_merges": _partition_cell(p2, 0, 4) == _partition_cell(p2, 1, 3),
         "x15": float(X[0, 4]),
@@ -296,11 +292,11 @@ def case_delta_strict() -> CaseReport:
                                 "delta_separates": _exp(True, "PAPER")})
 
 
-def case_seq_pipeline_fail(cfg: PdhgConfig | None = None) -> CaseReport:
+def case_seq_pipeline_fail() -> CaseReport:
     inst = sequential_pipeline_instance()
     stage1, _ = run_to_stable(Algo.VCWL, inst)
     final = vcwl_then_multiset_fwl(inst)
-    X = min_norm_solution(inst, cfg)
+    X = min_norm_solution(inst)
     obs = {
         "stage1_pattern_ok": pattern_matches(stage1.var, PIPELINE_STAGE1_PATTERN),
         "final_pattern_ok": pattern_matches(final.var, PIPELINE_STAGE2_PATTERN),
@@ -320,10 +316,10 @@ def case_seq_pipeline_fail(cfg: PdhgConfig | None = None) -> CaseReport:
                   "solution_gap_exceeds": _exp(0.5, "PAPER")})
 
 
-def case_multiset_encoding_fail(cfg: PdhgConfig | None = None) -> CaseReport:
+def case_multiset_encoding_fail() -> CaseReport:
     inst = diag_block_instance()
     part = joint_encoding_stable(inst)
-    X = min_norm_solution(inst, cfg)
+    X = min_norm_solution(inst)
     obs = {
         "classes_equal": _partition_cell(part, 1, 1) == _partition_cell(part, 2, 2),
         "diag": [float(X[i, i]) for i in range(3)],
@@ -355,7 +351,6 @@ def _class_spread(values: np.ndarray, labels: np.ndarray) -> float:
 
 
 def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
-                                cfg: PdhgConfig | None = None,
                                 case_id: str = "trajectory") -> CaseReport:
     """Within-class spread of the solver iterates stays at noise level.
 
@@ -365,11 +360,10 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
     iteration and the largest spread of the block that exceeded its bound.
     """
     part, _ = run_to_stable(Algo.VC2FWL, inst)
-    cfg = cfg or PdhgConfig()
     expected = {"max_relative_spread": _exp(1e-7, "DERIVED")}
     worst = 0.0
     var_labels = part.var.reshape(-1)
-    for state in islice(iterates(inst, cfg.eps), iters):
+    for state in islice(iterates(inst, PdhgConfig.eps), iters):
         for key, values, labels in (("spread", state.X.reshape(-1), var_labels),
                                     ("y_spread", state.y, part.con)):
             bound = 1e-7 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
@@ -385,15 +379,14 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
 
 
 def check_scale_lemma(inst: SdpInstance, alphas=(0.5, 2.0, 10.0),
-                      cfg: PdhgConfig | None = None,
                       case_id: str = "scale_lemma") -> CaseReport:
     """Scaling b by a > 0 scales the minimum-norm solution by a."""
-    base = min_norm_solution(inst, cfg)
+    base = min_norm_solution(inst)
     errors = {}
     for a in alphas:
         scaled = SdpInstance(n=inst.n, C=inst.C.copy(), A=inst.A,
                              b=a * inst.b, metadata=dict(inst.metadata))
-        Xs = min_norm_solution(scaled, cfg)
+        Xs = min_norm_solution(scaled)
         target = a * base
         denom = max(float(np.linalg.norm(target)), 1e-12)
         errors[str(a)] = float(np.linalg.norm(Xs - target)) / denom
@@ -408,7 +401,7 @@ _HIERARCHY_ALGOS = (Algo.VCWL, Algo.VC2WL, Algo.VC2FWL, Algo.VC2FWLP,
                     Algo.DELTA_VC2WL, Algo.VC2IGNWL)
 
 
-def check_hierarchy(instances, case_id: str = "hierarchy") -> CaseReport:
+def check_hierarchy(instances) -> CaseReport:
     """Empirical refinement lattice over the supplied instances."""
     relations = {
         "fwlp_refines_fwl": (Algo.VC2FWLP, Algo.VC2FWL),
@@ -427,12 +420,12 @@ def check_hierarchy(instances, case_id: str = "hierarchy") -> CaseReport:
         if parts[Algo.VC2IGNWL] != parts[Algo.VC2WL]:
             violations["ignwl_equals_2wl"] += 1
     ok = all(v == 0 for v in violations.values())
-    return CaseReport(case_id, ok,
+    return CaseReport("hierarchy", ok,
                       {"instances": len(instances), "violations": violations},
                       expected={"violations": _exp(0, "PAPER")})
 
 
-def check_aux_graph(instances, case_id: str = "aux_graph") -> CaseReport:
+def check_aux_graph(instances) -> CaseReport:
     """Auxiliary-graph 1-WL partitions match the direct implementation."""
     mismatches = 0
     for inst in instances:
@@ -441,7 +434,7 @@ def check_aux_graph(instances, case_id: str = "aux_graph") -> CaseReport:
         if aux != direct:
             mismatches += 1
     ok = mismatches == 0
-    return CaseReport(case_id, ok,
+    return CaseReport("aux_graph", ok,
                       {"instances": len(instances), "mismatches": mismatches},
                       expected={"mismatches": _exp(0, "DERIVED")})
 
@@ -462,8 +455,7 @@ def _relabels_to(base: Partition, var: np.ndarray, con: np.ndarray) -> bool:
             and np.array_equal(np.array(cc), base.con))
 
 
-def check_color_equivariance(instances, seed: int = 0,
-                             case_id: str = "equivariance") -> CaseReport:
+def check_color_equivariance(instances, seed: int = 0) -> CaseReport:
     """Stable partitions permute with the instance (transpose-invariant
     algorithms) and ignore constraint order (every algorithm)."""
     rng = np.random.default_rng(seed)
@@ -486,7 +478,7 @@ def check_color_equivariance(instances, seed: int = 0,
             if not _relabels_to(base, pr.var, pr.con[cperm]):
                 failures += 1
     ok = failures == 0
-    return CaseReport(case_id, ok, {"checked": checked, "failures": failures},
+    return CaseReport("equivariance", ok, {"checked": checked, "failures": failures},
                       expected={"failures": _exp(0, "PAPER")})
 
 
@@ -521,17 +513,18 @@ def _respects_coloring(arch: Arch, inst: SdpInstance, states) -> bool:
 
 
 def nn_deviations(arch: Arch, inst: SdpInstance, d: int, n_layers: int,
-                  seed: int, perm_seed: int = 0) -> dict:
+                  seed: int) -> dict:
     """Forward-pass properties from three passes: on ``inst``, on a vertex
-    permutation of it and on a constraint reordering of it.
+    permutation of it and on a constraint reordering of it, each drawn by
+    a fresh ``default_rng(0)``.
 
     Returns the largest deviation over all layers from symmetry, from
     equivariance (also of the decoded output) and from constraint-order
     invariance, keyed like ``NN_TOLERANCES``, and ``coloring``: whether the
     embeddings respect the refinement colors round by round.
     """
-    perm = np.random.default_rng(perm_seed).permutation(inst.n).tolist()
-    cperm = np.random.default_rng(perm_seed).permutation(inst.m).tolist()
+    perm = np.random.default_rng(0).permutation(inst.n).tolist()
+    cperm = np.random.default_rng(0).permutation(inst.m).tolist()
     states, params = forward(arch, inst, d, n_layers, seed)
     pstates, _ = forward(arch, permute_instance(inst, perm), d, n_layers, seed)
     rstates, _ = forward(arch, reorder_constraints(inst, cperm), d, n_layers, seed)
@@ -549,7 +542,7 @@ def nn_deviations(arch: Arch, inst: SdpInstance, d: int, n_layers: int,
 
 
 def case_nn_properties(instances, d: int = 8, n_layers: int = 3,
-                       seeds=(0, 1), case_id: str = "nn_properties") -> CaseReport:
+                       seeds=(0, 1)) -> CaseReport:
     # every architecture is held to the same three properties
     worst = dict.fromkeys(NN_TOLERANCES[Arch.VCMPNN], 0.0)
     respect_failures = 0
@@ -564,7 +557,7 @@ def case_nn_properties(instances, d: int = 8, n_layers: int = 3,
                 if not dev["coloring"]:
                     respect_failures += 1
                     ok = False
-    return CaseReport(case_id, ok,
+    return CaseReport("nn_properties", ok,
                       {"worst": worst, "respect_failures": respect_failures},
                       expected={**{prop: _exp(0.0, "TRIVIAL") for prop in worst},
                                 "respect_failures": _exp(0, "DERIVED")},

@@ -93,9 +93,9 @@ def penalty_objective(inst, n_starts: int = 5,
                       mu_ladder=(1e2, 1e3, 1e4, 1e5),
                       step_tol: float = 1e-8, max_steps: int = 50000,
                       seed: int = 0) -> float:
-    """Objective estimate by accelerated projected gradient on the
-    quadratic-penalty relaxation, warm-started over an increasing penalty
-    ladder, best of several random starts."""
+    """Objective estimate by accelerated projected gradient, with adaptive
+    momentum restarts, on the quadratic-penalty relaxation, warm-started
+    over an increasing penalty ladder, best of several random starts."""
     dense = np.stack([a.to_dense() for a in inst.A])
     C, b = inst.C, inst.b
     flat = dense.reshape(inst.m, -1)
@@ -116,7 +116,9 @@ def penalty_objective(inst, n_starts: int = 5,
                 r = np.einsum("kij,ij->k", dense, Y) - b
                 grad = C + 2.0 * mu * np.einsum("k,kij->ij", r, dense)
                 Xn = _oracle_project(Y - eta * grad)
-                tk = tn
+                # adaptive restart (O'Donoghue & Candes 2015): drop the
+                # momentum once the gradient mapping points uphill
+                tk = 1.0 if np.sum((Y - Xn) * (Xn - X)) > 0 else tn
                 Xp, X = X, Xn
                 if np.linalg.norm(X - Xp) <= step_tol * max(1.0, np.linalg.norm(Xp)):
                     break
@@ -787,7 +789,7 @@ def reference_forward(arch, inst, d: int, n_layers: int, seed: int):
     from sdpxlab.nn import build_params, init_embeddings
 
     params = build_params(arch, d, n_layers, seed)
-    states = [init_embeddings(inst, d, seed, params=params)]
+    states = [init_embeddings(inst, params)]
     for _ in range(n_layers):
         states.append(reference_layer(arch, states[-1], inst, params))
     return states, params

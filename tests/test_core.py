@@ -8,6 +8,7 @@ from sdpxlab.core import (
     SdpInstance,
     ShapeError,
     SizeGuardError,
+    ZERO_KEY,
     SparseSymMatrix,
     apply_A,
     apply_A_adjoint,
@@ -111,6 +112,21 @@ def test_quantize_key_normalizes_and_rounds():
     assert quantize_key(-0.0) == quantize_key(0.0)
     assert quantize_key(1.0) == quantize_key(1.0 + 1e-14)
     assert quantize_key(1.0) != quantize_key(1.0 + 1e-11)
+
+
+def test_int_view_ids_rank_the_quantize_keys():
+    # the ids number the distinct quantize_key values in increasing order
+    noisy = SdpInstance(n=2, C=[[-0.0, 1.0], [1.0 + 1e-14, 1e-13]],
+                        A=(SparseSymMatrix.from_coords(2, [(0, 1, -2.0), (1, 1, -2.0 - 1e-14)]),),
+                        b=[-0.0])
+    for inst in operator_instances() + [noisy]:
+        view = inst.int_view
+        for ids, x in ((view.C, inst.C), (view.A, inst.coo[2]), (view.b, inst.b)):
+            keys = [quantize_key(v) for v in x.reshape(-1).tolist()]
+            rank = {k: r for r, k in enumerate(sorted(set(keys)))}
+            assert ids.reshape(-1).tolist() == [rank[k] for k in keys]
+        assert view.adj.reshape(-1).tolist() == [
+            quantize_key(v) != ZERO_KEY for v in inst.C.reshape(-1).tolist()]
 
 
 def test_sparse_matrix_cleanup_and_invariants():

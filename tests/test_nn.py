@@ -5,13 +5,12 @@ from hypothesis import strategies as st
 
 from oracles import _nn_quantized, csum, reference_forward, reference_triangular_attention
 from sdpxlab.colors import init_colors
-from sdpxlab.core import ShapeError
+from sdpxlab.core import ShapeError, quantize_array
 from sdpxlab.nn import (
     Arch,
     ArchParams,
     Mlp,
     WeightStream,
-    _quantized,
     _segment_sum,
     build_params,
     decode,
@@ -46,7 +45,7 @@ def test_weight_stream_is_deterministic_and_bounded():
 
 def test_init_identical_inputs_identical_embeddings():
     inst = prop_diag_pair_instance()
-    st = init_embeddings(inst, D, seed=0)
+    st = init_embeddings(inst, build_params(Arch.VCMPNN, D, 0, 0))
     # cells (0,2) and (1,2) share (C_ij, flag) = (0, off-diagonal)
     np.testing.assert_array_equal(st.var[0, 2], st.var[1, 2])
 
@@ -57,15 +56,16 @@ def test_init_zero_weights_give_zero_embeddings():
     zero_c = Mlp(weights=(np.zeros((1, 1)),), biases=(np.zeros(1),))
     params = ArchParams(arch=Arch.VCMPNN, d=1, init_v=zero, init_c=zero_c,
                         layers=(), decode_head=zero_c)
-    st = init_embeddings(inst, 1, 0, params=params)
+    st = init_embeddings(inst, params)
     assert not np.any(st.var) and not np.any(st.con)
 
 
 def test_init_embeddings_default_equals_build_params_encoders():
     inst = small_inst()
-    default = init_embeddings(inst, D, 7)
+    # the encoders are the first draws of every architecture's stream
+    default = init_embeddings(inst, build_params(Arch.VCMPNN, D, 0, 7))
     for arch in Arch:
-        st = init_embeddings(inst, D, 7, params=build_params(arch, D, 2, 7))
+        st = init_embeddings(inst, build_params(arch, D, 2, 7))
         np.testing.assert_array_equal(st.var, default.var)
         np.testing.assert_array_equal(st.con, default.con)
 
@@ -80,7 +80,7 @@ def test_delta_layer_reads_nonzero_pattern_of_c():
 
 def test_init_equality_classes_match_init_colors():
     inst = prop_diag_pair_instance()
-    st = init_embeddings(inst, D, seed=3)
+    st = init_embeddings(inst, build_params(Arch.VCMPNN, D, 0, 3))
     colors = init_colors(inst)
     emb_key = {}
     for i in range(3):
@@ -140,12 +140,10 @@ def test_coloring_respect_on_noisy_coefficients(arch):
 def test_layer_shape_checks():
     inst = small_inst()
     params = build_params(Arch.VCMPNN, D, 1, 0)
-    st = init_embeddings(inst, D, 0, params=params)
+    st = init_embeddings(inst, params)
+    nxt = layer(st, inst, params)
     with pytest.raises(ShapeError):
-        layer(Arch.VC2MPNN, st, inst, params)
-    nxt = layer(Arch.VCMPNN, st, inst, params)
-    with pytest.raises(ShapeError):
-        layer(Arch.VCMPNN, nxt, inst, params)  # no weights for layer 1
+        layer(nxt, inst, params)  # no weights for layer 1
 
 
 def test_decode_properties():
@@ -194,7 +192,7 @@ def test_segment_sum_is_bit_identical_to_sorted_row_sum(layout):
 def test_quantized_equals_per_value_quantization():
     for inst in operator_instances():
         for x in (inst.C, inst.b, inst.coo[2]):
-            np.testing.assert_array_equal(_quantized(x).view(np.uint64),
+            np.testing.assert_array_equal(quantize_array(x).view(np.uint64),
                                           _nn_quantized(x).view(np.uint64))
 
 
@@ -232,8 +230,8 @@ def test_layer_calls_each_mlp_a_fixed_number_of_times(monkeypatch):
         for n in (8, 16):
             inst = maxcut_sdp(er_graph(n, 0.5, 1))
             params = build_params(arch, D, 1, 0)
-            state = init_embeddings(inst, D, 0, params=params)
+            state = init_embeddings(inst, params)
             calls["n"] = 0
-            layer(arch, state, inst, params)
+            layer(state, inst, params)
             counts.append(calls["n"])
         assert counts[0] == counts[1], (arch, counts)

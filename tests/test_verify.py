@@ -150,7 +150,10 @@ def test_nn_deviations_match_the_per_property_oracles(arch, monkeypatch):
     for inst in differential_instances():
         for seed in (0, 1):
             args = (arch, inst, 4, 2, seed)
-            assert nn_deviations(*args) == _oracle_deviations(*args), (inst.n, inst.m, seed)
+            dev = nn_deviations(*args)
+            assert dev == _oracle_deviations(*args), (inst.n, inst.m, seed)
+            assert dev["symmetry"] == dev["equivariance"] == dev["invariance"] == 0.0
+            assert dev["coloring"] is True
     monkeypatch.setattr(verify_mod, "forward", _perturbed_forward)
     monkeypatch.setattr(nn_mod, "forward", _perturbed_forward)
     invariance = []
