@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import verify
-from .colors import Algo, run_to_stable
+from .colors import Algo, RoundBudgetError, run_to_stable
 from .core import SdpxlabError, SolutionTriple
 from .nn import Arch, decode, forward
 from .pdhg import PdhgConfig, solve, solve_continuation
@@ -206,7 +206,10 @@ def _cmd_color(args) -> int:
     if args.max_rounds is not None and args.max_rounds < 1:
         raise SystemExit2("--max-rounds must be >= 1")
     inst = _read_instance(args.file)
-    part, rounds = run_to_stable(_ALGO_FLAGS[args.algo], inst, args.max_rounds)
+    try:
+        part, rounds = run_to_stable(_ALGO_FLAGS[args.algo], inst, args.max_rounds)
+    except RoundBudgetError as exc:
+        raise SystemExit2(f"{exc}; raise --max-rounds or omit it") from exc
     _kv(event="color", file=args.file, algo=args.algo, rounds=rounds,
         var_classes=part.n_var_classes, con_classes=part.n_con_classes)
     _write_json(args.json_out, part.to_json_dict())

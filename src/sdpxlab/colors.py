@@ -40,6 +40,11 @@ SYMMETRIZED_ALGOS = frozenset(
     {Algo.VC2WL, Algo.VC2FWLP, Algo.DELTA_VC2WL, Algo.VC2IGNWL})
 
 
+class RoundBudgetError(StabilizationError):
+    """A ``max_rounds`` the caller chose ran out before the partition
+    stabilized."""
+
+
 @dataclass(frozen=True)
 class ColorState:
     """Per-round colors: ids are dense 0..K-1 within each namespace."""
@@ -234,16 +239,17 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
 
     Returns the relabeling-canonical stable partition and the number of
     rounds executed (the final round is the one that confirmed
-    stability).  ``max_rounds`` defaults to ``_round_bound(inst)``.
+    stability).  ``max_rounds`` defaults to ``_round_bound(inst)``, which
+    no monotone refinement can exhaust; a smaller ``max_rounds`` that runs
+    out raises ``RoundBudgetError``.
     """
     algo = Algo(algo)
-    if max_rounds is None:
-        max_rounds = _round_bound(inst)
-    if max_rounds < 1:
+    if max_rounds is not None and max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    budget = _round_bound(inst) if max_rounds is None else max_rounds
     state = init_colors(inst)
     var, con = state.var_colors, state.con_colors
-    for rounds_used in range(1, max_rounds + 1):
+    for rounds_used in range(1, budget + 1):
         new_var, new_con = _refine(algo, inst, var, con)
         _assert_monotone(var, new_var)
         _assert_monotone(con, new_con)
@@ -251,8 +257,11 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
         if _n_ids(new_var) + _n_ids(new_con) == _n_ids(var) + _n_ids(con):
             return _partition(var, con, rounds_used), rounds_used
         var, con = new_var, new_con
+    if max_rounds is not None:
+        raise RoundBudgetError(
+            f"{algo.value} did not stabilize within max_rounds={max_rounds}")
     raise StabilizationError(
-        f"{algo} did not stabilize within {max_rounds} rounds (impossible for "
+        f"{algo} did not stabilize within {budget} rounds (impossible for "
         "a monotone step; treat as a bug)")
 
 

@@ -2,23 +2,32 @@
 
 Weights come from a seeded xorshift stream, uniform in [-0.5, 0.5]; no
 training happens anywhere.  ``build_params(arch, d, n_layers, seed)``
-draws them; ``init_embeddings(inst, params)`` and
-``layer(state, inst, params)`` read the architecture, the width and the
-weights from ``params``, and ``forward`` chains them.  Each message MLP
-runs once per layer on all its rows: one per ``coo`` entry, per cell, or
-per triple (i, j, u) of the pair layers, which run in blocks of
-consecutive i of about ``_BLOCK_ROWS`` rows.  Every multiset reduction
-is one ``_segment_sum``: rows sorted by (segment, row values in
-lexicographic order), each segment added in that order.  So cells whose
-refinement colors agree get bit-identical embeddings, and permuting the
-instance permutes the embeddings exactly.
+draws them once per distinct argument tuple and keeps the most recent
+sets: the returned ``ArchParams`` is shared, so its arrays are read-only
+and its per-layer dicts are ``MappingProxyType`` views.
+``init_embeddings(inst, params)`` and ``layer(state, inst, params)`` read
+the architecture, the width and the weights from ``params``, and
+``forward`` chains them.  Each message MLP runs once per layer on all its
+rows: one per ``coo`` entry or per cell; per triple (i, j, u) of the
+``vc2fmpnn`` and ``vcet`` pair layers, which run in blocks of consecutive
+i of about ``_BLOCK_ROWS`` rows; and, for ``delta``, whose row u of
+(i, j) carries an adjacency flag that is 0 or 1, on the 2n² candidate
+rows (h, 0) and (h, 1) of each cell h.  Every multiset reduction is one
+``_segment_sum``: rows sorted by (segment, row values in lexicographic
+order), each segment added in that order (``delta`` orders each segment
+by the dense rank of its candidates in the same key order, the same
+sums bit for bit).  So cells whose refinement colors agree get
+bit-identical embeddings, and permuting the instance permutes the
+embeddings exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,6 +35,7 @@ from .colors import Algo
 from .core import SdpInstance, ShapeError, _segment_groups, quantize_array, symmetrize
 
 _BLOCK_ROWS = 1 << 12  # rows per block of a pair layer
+_PARAMS_CACHE_SIZE = 64  # weight sets that build_params keeps
 _SIGN = np.uint64(1 << 63)
 
 
@@ -53,6 +63,11 @@ _SYMMETRIZED_ARCHS = frozenset({Arch.VC2MPNN, Arch.DELTA_VC2MPNN})
 _MASK = (1 << 64) - 1
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class WeightStream:
     """xorshift64* stream of float64 uniforms in [-0.5, 0.5]."""
 
@@ -75,7 +90,7 @@ class WeightStream:
     def uniform(self, *shape) -> np.ndarray:
         size = int(np.prod(shape)) if shape else 1
         vals = [(self._next() >> 11) * 2.0 ** -53 - 0.5 for _ in range(size)]
-        return np.array(vals).reshape(shape)
+        return _frozen(np.array(vals).reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -121,7 +136,7 @@ class AttentionParams:
     def draw(cls, stream: WeightStream, d: int) -> "AttentionParams":
         wq = stream.uniform(d, d)
         wv = stream.uniform(d, d)
-        return cls(w_q=wq, w_k=wq.copy(), w_v1=wv, w_v2=wv.copy())
+        return cls(w_q=wq, w_k=_frozen(wq.copy()), w_v1=wv, w_v2=_frozen(wv.copy()))
 
 
 @dataclass(frozen=True)
@@ -141,7 +156,7 @@ class ArchParams:
     d: int
     init_v: Mlp
     init_c: Mlp
-    layers: tuple[dict, ...]
+    layers: tuple[MappingProxyType, ...]
     decode_head: Mlp
 
 
@@ -153,8 +168,13 @@ class EmbeddingState:
 
 
 def build_params(arch: Arch, d: int, n_layers: int, seed: int) -> ArchParams:
-    """All weights for ``n_layers`` forward layers, drawn in a fixed order."""
-    arch = Arch(arch)
+    """All weights for ``n_layers`` forward layers, drawn in a fixed order;
+    equal arguments return the same read-only ``ArchParams``."""
+    return _build_params(Arch(arch), int(d), int(n_layers), int(seed))
+
+
+@functools.lru_cache(maxsize=_PARAMS_CACHE_SIZE)
+def _build_params(arch: Arch, d: int, n_layers: int, seed: int) -> ArchParams:
     stream = WeightStream(seed)
     init_v = Mlp.draw(stream, (2, d, d))
     init_c = Mlp.draw(stream, (1, d, d))
@@ -184,29 +204,34 @@ def build_params(arch: Arch, d: int, n_layers: int, seed: int) -> ArchParams:
             lp["upd_v"] = Mlp.draw(stream, (3 * d, d), final_relu=True)
         elif arch is Arch.VCET:
             lp["attn"] = AttentionParams.draw(stream, d)
-            lp["ln_gamma"] = 1.0 + stream.uniform(d)
+            lp["ln_gamma"] = _frozen(1.0 + stream.uniform(d))
             lp["ln_beta"] = stream.uniform(d)
             lp["ffn"] = Mlp.draw(stream, (d, d))
             lp["upd_v"] = Mlp.draw(stream, (3 * d, d), final_relu=True)
-        layers.append(lp)
+        layers.append(MappingProxyType(lp))
     decode_head = Mlp.draw(stream, (d, d, d, 1))
     return ArchParams(arch=arch, d=d, init_v=init_v, init_c=init_c,
                       layers=tuple(layers), decode_head=decode_head)
+
+
+def _row_keys(rows: np.ndarray, seg) -> np.ndarray:
+    """One byte-string key per row: ``seg``, then the row as big-endian
+    uint64s that order like the floats (-0.0 as +0.0)."""
+    n_rows, d = rows.shape
+    bits = (rows + 0.0).view(np.uint64)
+    keys = np.empty((n_rows, d + 1), dtype=">u8")
+    keys[:, 0] = seg
+    keys[:, 1:] = bits ^ ((bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN)
+    return keys.view(np.dtype((np.void, 8 * (d + 1)))).reshape(-1)
 
 
 def _segment_sum(rows: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
     """(n_seg, d) sums of the rows of each segment ``seg == s``, each added
     by position after sorting by (segment, row values in lexicographic
     order), so equal multisets give bit-equal sums; empty segments sum to
-    0.  The sort key is the row as big-endian uint64s that order like the
-    floats (-0.0 as +0.0), compared as one byte string."""
-    n_rows, d = rows.shape
-    bits = (rows + 0.0).view(np.uint64)
-    keys = np.empty((n_rows, d + 1), dtype=">u8")
-    keys[:, 0] = seg
-    keys[:, 1:] = bits ^ ((bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN)
-    order = np.argsort(keys.view(np.dtype((np.void, 8 * (d + 1)))).reshape(-1),
-                       kind="stable")
+    0.  The sort key is ``_row_keys``, compared as one byte string."""
+    d = rows.shape[1]
+    order = np.argsort(_row_keys(rows, seg), kind="stable")
     out = np.empty((n_seg, d))
     for members, entries in _segment_groups(seg, n_seg, order):
         out[members] = rows[entries].sum(axis=1)
@@ -224,6 +249,41 @@ def _pair_sum(n: int, d: int, block_rows) -> np.ndarray:
         seg = np.repeat(np.arange(b), n)
         out[lo * n:lo * n + b] = _segment_sum(rows.reshape(-1, d), seg, b)
     return out.reshape(n, n, d)
+
+
+def _flag_pair_sum(mlp, G: np.ndarray, flag: np.ndarray) -> np.ndarray:
+    """(n, n, d) sums over u of ``mlp([G[i, u], flag[u, j]])`` for a 0/1
+    ``flag``, bit for bit what ``_pair_sum`` gives on those n³ rows.
+    ``mlp`` runs on the 2n² candidates [G[i, u], a], laid out [i, a, u]
+    as the (n, d + 1) matrices of rows u that the n³-row path multiplies,
+    so each candidate takes the same matrix product; each segment (i, j)
+    adds its rows in the order of the candidates' dense rank by
+    ``_row_keys``, ties by u."""
+    n, _, d = G.shape
+    inp = np.empty((n, 2, n, d + 1))
+    inp[..., :d] = G[:, None]
+    inp[..., d] = np.array([0.0, 1.0])[:, None]
+    cand = mlp(inp).reshape(2 * n * n, d)
+    rank = np.unique(_row_keys(cand, 0), return_inverse=True)[1]
+    # row u of (i, j) is candidate (2 i + flag[u, j]) n + u; [j, u] part here
+    cols = n * flag.T.astype(np.intp) + np.arange(n)
+    out = np.empty((n * n, d))
+    step = max(1, _BLOCK_ROWS // (n * n))
+    for lo in range(0, n, step):
+        idx = 2 * n * np.arange(lo, min(lo + step, n))[:, None, None] + cols
+        idx = np.take_along_axis(idx, np.argsort(rank[idx], axis=2, kind="stable"), axis=2)
+        out[lo * n:lo * n + len(idx) * n] = cand[idx].reshape(-1, n, d).sum(axis=1)
+    return out.reshape(n, n, d)
+
+
+def _delta_messages(H: np.ndarray, adj: np.ndarray, lp) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column pair messages of the delta layer: row u of (i, j) is
+    [h_iu, adj_uj] through ``msg_row`` and [h_uj, adj_iu] through
+    ``msg_col``, whose sum at (i, j) is the row form's at (j, i) on the
+    transposes."""
+    m_row = _flag_pair_sum(lp["msg_row"], H, adj)
+    m_col = _flag_pair_sum(lp["msg_col"], H.transpose(1, 0, 2), adj.T)
+    return m_row, m_col.transpose(1, 0, 2)
 
 
 def init_embeddings(inst: SdpInstance, params: ArchParams) -> EmbeddingState:
@@ -312,17 +372,7 @@ def layer(state: EmbeddingState, inst: SdpInstance,
             m_row_ij = np.broadcast_to(m_row[:, None, :], (n, n, d))
             m_col_ij = np.broadcast_to(m_col[None, :, :], (n, n, d))
         else:
-            adj = inst.int_view.adj.astype(np.float64)[..., None]
-
-            def rows(h, a):                         # (b, n, n, d + 1)
-                shape = np.broadcast_shapes(h.shape[:3], a.shape[:3])
-                return np.concatenate([np.broadcast_to(h, shape + (d,)),
-                                       np.broadcast_to(a, shape + (1,))], axis=-1)
-            # row u of (i, j): [h_iu, adj_uj] for msg_row, [h_uj, adj_iu] for msg_col
-            m_row_ij = _pair_sum(n, d, lambda ib: lp["msg_row"](
-                rows(H[ib][:, None], adj.transpose(1, 0, 2)[None])))
-            m_col_ij = _pair_sum(n, d, lambda ib: lp["msg_col"](
-                rows(H.transpose(1, 0, 2)[None], adj[ib][:, None])))
+            m_row_ij, m_col_ij = _delta_messages(H, inst.int_view.adj, lp)
         new_var = lp["upd_v"](
             np.concatenate([H, m_col_ij, m_row_ij, m_cv], axis=-1))
     elif arch is Arch.VC2FMPNN:

@@ -795,6 +795,27 @@ def reference_forward(arch, inst, d: int, n_layers: int, seed: int):
     return states, params
 
 
+def reference_delta_pair_messages(H: np.ndarray, adj: np.ndarray, lp):
+    """The delta layer's row and column pair messages on all n³ rows:
+    ``msg_row`` on [h_iu, adj_uj] and ``msg_col`` on [h_uj, adj_iu], each
+    (i, j) summed over u by ``nn._pair_sum``, in blocks of consecutive i.
+    This is the path that ``nn._delta_messages`` replaced."""
+    from sdpxlab.nn import _pair_sum
+
+    n, _, d = H.shape
+    adj = adj.astype(np.float64)[..., None]
+
+    def rows(h, a):                         # (b, n, n, d + 1)
+        shape = np.broadcast_shapes(h.shape[:3], a.shape[:3])
+        return np.concatenate([np.broadcast_to(h, shape + (d,)),
+                               np.broadcast_to(a, shape + (1,))], axis=-1)
+    m_row = _pair_sum(n, d, lambda ib: lp["msg_row"](
+        rows(H[ib][:, None], adj.transpose(1, 0, 2)[None])))
+    m_col = _pair_sum(n, d, lambda ib: lp["msg_col"](
+        rows(H.transpose(1, 0, 2)[None], adj[ib][:, None])))
+    return m_row, m_col
+
+
 # --- the property checks that ``verify.nn_deviations`` and
 # ``verify._class_spread`` replaced -----------------------------------------
 

@@ -133,6 +133,19 @@ def test_color_missing_file_is_usage_error(capsys):
     assert "not found" in err
 
 
+def test_color_round_budget_that_runs_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "14", "--p", "0.4",
+         "--seed", "3", "-o", str(path)], capsys)
+    code, out, err = run(["color", str(path), "--algo", "vc2fwl",
+                          "--max-rounds", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "vc2fwl did not stabilize within max_rounds=1" in err
+    assert "Algo." not in err and "bug" not in err
+    code, out, _ = run(["color", str(path), "--algo", "vc2fwl"], capsys)
+    assert code == 0 and "rounds=" in out
+
+
 def test_color_json_schema(tmp_path, capsys):
     path = tmp_path / "t.dat-s"
     run(["gen", "--problem", "clique", "--n", "5", "--p", "0.5",

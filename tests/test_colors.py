@@ -6,6 +6,7 @@ import pytest
 from sdpxlab.colors import (
     Algo,
     Partition,
+    RoundBudgetError,
     canonical_labels,
     init_colors,
     joint_encoding_stable,
@@ -159,6 +160,11 @@ def test_determinism():
 def test_run_to_stable_respects_max_rounds():
     with pytest.raises(ValueError):
         run_to_stable(Algo.VCWL, prop32(), max_rounds=0)
+    _, rounds = run_to_stable(Algo.VC2FWL, prop32())
+    assert rounds > 1
+    assert run_to_stable(Algo.VC2FWL, prop32(), max_rounds=rounds)[1] == rounds
+    with pytest.raises(RoundBudgetError, match="vc2fwl did not stabilize"):
+        run_to_stable(Algo.VC2FWL, prop32(), max_rounds=rounds - 1)
 
 
 def test_partition_json_shape():

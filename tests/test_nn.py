@@ -1,9 +1,18 @@
+import dataclasses
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import _nn_quantized, csum, reference_forward, reference_triangular_attention
+from oracles import (
+    _nn_quantized,
+    csum,
+    reference_delta_pair_messages,
+    reference_forward,
+    reference_triangular_attention,
+)
 from sdpxlab.colors import init_colors
 from sdpxlab.core import ShapeError, quantize_array
 from sdpxlab.nn import (
@@ -11,6 +20,7 @@ from sdpxlab.nn import (
     ArchParams,
     Mlp,
     WeightStream,
+    _delta_messages,
     _segment_sum,
     build_params,
     decode,
@@ -41,6 +51,41 @@ def test_weight_stream_is_deterministic_and_bounded():
     np.testing.assert_array_equal(a, b)
     assert np.all(np.abs(a) <= 0.5)
     assert not np.array_equal(a, WeightStream(43).uniform(64))
+
+
+def _weight_arrays(obj):
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for x in obj:
+            yield from _weight_arrays(x)
+    elif isinstance(obj, Mapping):
+        yield from _weight_arrays(tuple(obj.values()))
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _weight_arrays(getattr(obj, f.name))
+
+
+def test_build_params_returns_one_object_per_argument_tuple():
+    params = build_params(Arch.VCET, D, 2, 11)
+    assert build_params(Arch.VCET, D, 2, 11) is params
+    assert build_params("vcet", np.int64(D), 2, 11) is params
+    assert build_params(Arch.VCET, D, 2, 12) is not params
+    assert build_params(Arch.VC2IGN, D, 2, 11) is not params
+
+
+@pytest.mark.parametrize("arch", list(Arch))
+def test_built_params_are_read_only(arch):
+    params = build_params(arch, D, 2, 0)
+    arrays = list(_weight_arrays(params))
+    # the encoders and the decoder hold 14 weights and biases, each layer more
+    assert len(arrays) > 20
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    for lp in params.layers:
+        with pytest.raises(TypeError):
+            lp["upd_v"] = lp["upd_v"]
 
 
 def test_init_identical_inputs_identical_embeddings():
@@ -187,6 +232,45 @@ def test_segment_sum_is_bit_identical_to_sorted_row_sum(layout):
     got = _segment_sum(rows, seg, n_seg)
     want = np.stack([csum(rows[seg == s], rows.shape[1]) for s in range(n_seg)])
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@st.composite
+def delta_inputs(draw):
+    """H, a 0/1 adjacency (all zero, all one or mixed) and a message map
+    per direction, all from a small pool of values holding zeros of both
+    signs, so candidate rows tie in early columns, and values whose sums
+    round, so the order of the additions shows.  A map is a one-layer
+    ``Mlp`` or the elementwise h * w - flag * v, which keeps the -0.0 that
+    a matrix product turns into +0.0."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    inexact = st.one_of(st.sampled_from([1.0, -1.0, 0.1, 1 / 3, 1e16, -1e16]),
+                        st.floats(-10.0, 10.0))
+    pool = draw(st.lists(inexact, min_size=1, max_size=3)) + [0.0, -0.0]
+
+    def values(*shape):
+        size = int(np.prod(shape))
+        return np.array(draw(st.lists(st.sampled_from(pool), min_size=size,
+                                      max_size=size))).reshape(shape)
+
+    def message_map():
+        if draw(st.booleans()):
+            return Mlp(weights=(values(d + 1, d),), biases=(values(d),),
+                       final_relu=draw(st.booleans()))
+        w, v = values(d), values(1)
+        return lambda x: x[..., :d] * w - x[..., d:] * v
+
+    fill = draw(st.sampled_from([0, 1, None]))
+    adj = (np.full((n, n), bool(fill)) if fill is not None else
+           np.array(draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n))
+    return values(n, n, d), adj, {"msg_row": message_map(), "msg_col": message_map()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta_inputs())
+def test_delta_messages_are_bit_identical_to_the_n3_row_path(inputs):
+    H, adj, lp = inputs
+    for got, want in zip(_delta_messages(H, adj, lp), reference_delta_pair_messages(H, adj, lp)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_quantized_equals_per_value_quantization():
