@@ -140,7 +140,7 @@ def _row_col_ids(V, view):
     return np.stack(np.broadcast_arrays(ids[None, n:], ids[:n, None]), axis=-1)
 
 
-def _pair_codes(V, view=None, ordered=False):
+def _pair_codes(V, ordered: bool):
     """Multiset over u of the pair (V[u, j], V[i, u]) of cell (i, j) as
     codes sorted along the last axis; unordered pairs unless ``ordered``."""
     K = _n_ids(V)
@@ -170,7 +170,7 @@ def _ign_columns(V, view):
 _SIGNATURES = {
     Algo.VCWL: lambda V, view: np.zeros(V.shape + (0,), dtype=np.int64),
     Algo.VC2WL: _row_col_ids,
-    Algo.VC2FWL: _pair_codes,
+    Algo.VC2FWL: lambda V, view: _pair_codes(V, ordered=False),
     Algo.VC2FWLP: lambda V, view: _pair_codes(V, ordered=True),
     Algo.DELTA_VC2WL: _delta_codes,
     Algo.VC2IGNWL: _ign_columns,
@@ -281,7 +281,7 @@ def _multiset_fwl_stable(var: np.ndarray, max_rounds: int) -> tuple[np.ndarray, 
     aggregation: the stable colors and the rounds run."""
     n = len(var)
     for rounds_used in range(1, max_rounds + 1):
-        table = np.concatenate([var[:, :, None], _pair_codes(var)], axis=2)
+        table = np.concatenate([var[:, :, None], _pair_codes(var, ordered=False)], axis=2)
         new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
         if _n_ids(new_var) == _n_ids(var):
             return var, rounds_used

@@ -18,7 +18,7 @@ order), each segment added in that order (``delta`` orders each segment
 by the dense rank of its candidates in the same key order, the same
 sums bit for bit).  So cells whose refinement colors agree get
 bit-identical embeddings, and permuting the instance permutes the
-embeddings exactly.
+embeddings and the ``decode`` readout exactly.
 """
 
 from __future__ import annotations
@@ -410,6 +410,14 @@ def forward(arch: Arch, inst: SdpInstance, d: int, n_layers: int, seed: int
 
 
 def decode(state: EmbeddingState, params: ArchParams) -> np.ndarray:
-    """Per-cell scalar readout, symmetrized."""
-    out = params.decode_head(state.var)[..., 0]
+    """Per-cell scalar readout, symmetrized.
+
+    The head's last layer, d -> 1, is an elementwise product summed over
+    the last axis: as a matrix-vector product its rounding would depend on
+    the cell's row position, and permuting the cells would move the output
+    in the last bits.
+    """
+    head = params.decode_head
+    hidden = Mlp(head.weights[:-1], head.biases[:-1], final_relu=True)(state.var)
+    out = (hidden * head.weights[-1][:, 0]).sum(axis=-1) + head.biases[-1][0]
     return symmetrize(out)

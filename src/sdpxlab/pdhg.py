@@ -8,9 +8,9 @@ ascent step,
 
 with step sizes a = omega/sqrt(lambda_max(A*A)) and a*b = rho/lambda_max,
 rho < 1, primal first.  The primal weight omega balances the two steps.
-``iterates`` is the one implementation of this update: ``solve`` adds
-stopping rules and adaptive restarts to it, and the trajectory check in
-``verify`` inspects its iterates directly.  A restart (as in PDLP) keeps
+``iterates`` is the one implementation of this update and of its
+adaptive restarts: ``solve`` adds stopping rules to it, and the trajectory
+check in ``verify`` inspects the same iterates.  A restart (as in PDLP) keeps
 the current iterate and moves omega toward the ratio of the distances X
 and y travelled since the last restart, once the fixed-point residual has
 fallen to a fifth of its value at the start of the restart period.
@@ -159,12 +159,17 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None, omega: float = 1.0
     The step sizes are a = omega/sqrt(lambda_max) and b = RHO/(a*lambda_max),
     with the instance's cached lambda_max of A*A.  ``X0`` (default zero) is
     projected onto the PSD cone first and ``y0`` defaults to zero.
-    Sending a new primal weight, ``gen.send(omega)``, restarts at the
-    current iterate: the following steps use that weight's step sizes and
-    nothing else changes.  The first ``next`` raises ``ShapeError`` for a
-    start of the wrong shape and ``ValueError`` for a weight that is not
-    positive and finite; any step raises ``DivergenceError`` on a
-    non-finite iterate.
+
+    The iteration restarts at the current iterate after the first step
+    whose ``fp_res`` is at most RESTART_DECAY times that of the first step
+    since the last restart, if that was positive (an exact fixed point
+    never restarts).  A restart sets omega <- exp(log(D_X/D_y)/2 +
+    log(omega)/2), where D_X and D_y are the distances X and y moved since
+    the last restart (the first period measures from X0 and y0 as given,
+    zero by default); the weight stays if either distance is at most
+    1e-10.  The first ``next`` raises ``ShapeError`` for a start of the
+    wrong shape and ``ValueError`` for a weight that is not positive and
+    finite; any step raises ``DivergenceError`` on a non-finite iterate.
     """
     n, m = inst.n, inst.m
     X = np.zeros((n, n)) if X0 is None else np.asarray(X0, dtype=np.float64)
@@ -174,12 +179,14 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None, omega: float = 1.0
                          f"expected {(n, n)}, {(m,)}")
     if not (0.0 < omega < math.inf):
         raise ValueError(f"primal weight must be positive and finite, got {omega}")
+    anchor_X, anchor_y = X, y
     if X0 is not None:
         X = project_psd(X)
     lam = inst.lambda_max
     alpha = omega / math.sqrt(lam)
     Aty = apply_A_adjoint(inst, y)
     t = restarts = 0
+    r0 = None  # fp_res of the first step since the last restart
     while True:
         t += 1
         beta = RHO / (alpha * lam)
@@ -199,46 +206,20 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None, omega: float = 1.0
         # definite since a*b*lambda_max = RHO < 1
         fp2 = (dx_norm * dx_norm / alpha + float(dy @ dy) / beta
                - 2.0 * float(np.einsum("ij,ij->", Atyn - Aty, dX)))
+        fp_res = math.sqrt(max(fp2, 0.0))
         X, y, Aty = Xn, yn, Atyn
-        sent = yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal,
-                               step_res=step_res, fp_res=math.sqrt(max(fp2, 0.0)),
-                               omega=omega, restarts=restarts)
-        if sent is not None:
-            omega, restarts = sent, restarts + 1
-            alpha = omega / math.sqrt(lam)
-
-
-def restarted_iterates(inst: SdpInstance, eps: float, X0=None, y0=None,
-                       omega: float = 1.0) -> Iterator[PdhgState]:
-    """``iterates`` with the adaptive restarts of ``solve``.
-
-    A restart comes at the first step whose ``fp_res`` is at most
-    RESTART_DECAY times that of the first step since the last restart, if
-    that was positive (an exact fixed point never restarts).  It
-    sets omega <- exp(log(D_X/D_y)/2 + log(omega)/2), where D_X and D_y are
-    the distances X and y moved since the last restart (the first period
-    measures from X0 and y0 as given, zero by default); the weight stays
-    if either distance is at most 1e-10.
-    """
-    gen = iterates(inst, eps, X0, y0, omega)
-    state = next(gen)
-    anchor_X = np.zeros((inst.n, inst.n)) if X0 is None else np.asarray(X0, dtype=np.float64)
-    anchor_y = np.zeros(inst.m) if y0 is None else np.asarray(y0, dtype=np.float64)
-    r0 = state.fp_res
-    while True:
-        yield state
-        new_omega = None
-        if 0.0 < r0 and state.fp_res <= RESTART_DECAY * r0:
-            new_omega = state.omega
-            dist_X = float(np.linalg.norm(state.X - anchor_X))
-            dist_y = float(np.linalg.norm(state.y - anchor_y))
+        yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal,
+                        step_res=step_res, fp_res=fp_res, omega=omega,
+                        restarts=restarts)
+        if r0 is None:
+            r0 = fp_res
+        if 0.0 < r0 and fp_res <= RESTART_DECAY * r0:
+            dist_X = float(np.linalg.norm(X - anchor_X))
+            dist_y = float(np.linalg.norm(y - anchor_y))
             if dist_X > 1e-10 and dist_y > 1e-10:
-                new_omega = math.exp(0.5 * math.log(dist_X / dist_y)
-                                     + 0.5 * math.log(new_omega))
-            anchor_X, anchor_y = state.X, state.y
-        state = gen.send(new_omega)
-        if new_omega is not None:
-            r0 = state.fp_res
+                omega = math.exp(0.5 * math.log(dist_X / dist_y) + 0.5 * math.log(omega))
+            alpha = omega / math.sqrt(lam)
+            anchor_X, anchor_y, restarts, r0 = X, y, restarts + 1, None
 
 
 def _dual_and_gap(X, S) -> tuple[float, float]:
@@ -261,9 +242,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
           ) -> tuple[SolutionTriple, PdhgStats]:
     """Iterate until primal, dual and step residuals all fall below tol.
 
-    ``X0``, ``y0`` and the primal weight ``omega`` warm-start the
-    iteration, which restarts as in ``restarted_iterates``; the stats
-    report the restarts and the final weight.  On
+    ``X0``, ``y0`` and the primal weight ``omega`` warm-start
+    ``iterates``; the stats report its restarts and final weight.  On
     iteration exhaustion the last iterate is returned with
     ``converged=False`` (no exception).  The dual residual is the distance
     of the slack S = C + eps*X + A*(y) from the PSD cone.  ``kkt_stop``
@@ -272,10 +252,9 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     """
     cfg = cfg or PdhgConfig()
     cfg.validate()
-    running_min = dual = math.inf
+    running_min = math.inf
     converged = False
-    steps = restarted_iterates(inst, cfg.eps, X0, y0, omega)
-    for state in islice(steps, cfg.max_iters):
+    for state in islice(iterates(inst, cfg.eps, X0, y0, omega), cfg.max_iters):
         running_min = min(running_min, state.primal_res)
         if state.primal_res > 1e6 * max(running_min, cfg.tol):
             raise DivergenceError(
@@ -287,7 +266,7 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
             if dual <= cfg.tol and (not kkt_stop or gap <= cfg.tol):
                 converged = True
                 break
-    if math.isinf(dual):
+    if not converged:  # the final state's, not that of an earlier step
         dual, _ = _dual_and_gap(state.X, inst.C + cfg.eps * state.X + state.Aty)
     stats = PdhgStats(
         iterations=state.t, converged=converged, primal_res=state.primal_res,

@@ -7,8 +7,9 @@ The on-disk problem is the maximization form
 so reading negates F_0 to obtain the minimization objective C used
 throughout this package, and writing negates it back.  Only blocks of
 positive size are supported; multi-block files are flattened into one
-block-diagonal instance.  Values are emitted with 17 significant digits,
-which round-trips float64 exactly.
+block-diagonal instance.  Without constraints the rhs line is empty, so
+the reader also accepts it left out.  Values are emitted with 17
+significant digits, which round-trips float64 exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def read_sdpa(text: str) -> SdpInstance:
     """Parse SDPA sparse format text into an instance (min form)."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith(('"', "*"))]
-    if len(lines) < 4:
+    if len(lines) < 3:
         last = lines[-1][0] if lines else 1
         raise SdpaParseError(last, "truncated header")
 
@@ -66,6 +67,10 @@ def read_sdpa(text: str) -> SdpInstance:
     m = parse_first_int(no, ln, "constraint count")
     if m < 0:
         raise SdpaParseError(no, f"negative constraint count {m}")
+    if m == 0 and (len(lines) == 3 or _clean_split(lines[3][1])):
+        lines.insert(3, (lines[2][0], ""))  # the empty rhs line, dropped as blank
+    if len(lines) < 4:
+        raise SdpaParseError(lines[-1][0], "truncated header")
 
     no, ln = lines[1]
     nblocks = parse_first_int(no, ln, "block count")

@@ -5,9 +5,10 @@ than the implementation it checks: eigenvalues by inertia bisection
 instead of LAPACK, solver objectives by a penalty method instead of
 primal-dual iteration, metrics by direct loop evaluation instead of
 vectorized contractions.  The exceptions are copies of code the library
-replaced, kept to check the replacement against: the reference PDHG loop
-(``pdhg.iterates`` must do the same arithmetic bit for bit, and
-``pdhg.solve`` must restart it at the same steps with the same weights),
+replaced, kept to check the replacement against: the fixed-weight PDHG
+loop and the restart rule written out around it (``pdhg.iterates`` must
+do the same arithmetic bit for bit and restart at the same steps with
+the same weights),
 the sorted, sign-normalised spectral projection (``pdhg.project_psd``), the
 entry-by-entry relabeling and reordering loops (``core.permute_instance``,
 ``core.reorder_constraints``), and the readers of the dense (m, n, n)
@@ -173,7 +174,7 @@ def reference_iterates(inst, eps: float, X0=None, y0=None, omega: float = 1.0):
     beta = 0.9/(alpha*lambda_max), extrapolation weight theta = 1.  Yields
     (X, y, primal_res, step_res) after each step; a weight sent into the
     generator sets the step sizes of the steps after it.  ``pdhg.iterates``
-    must match it bit for bit."""
+    must match it bit for bit up to its first restart."""
     from sdpxlab.core import apply_A, apply_A_adjoint, symmetrize
     from sdpxlab.pdhg import lambda_max_op, project_psd
 
@@ -230,8 +231,8 @@ def reference_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
 def reference_restarted_solve(inst, eps: float = 1e-6, tol: float = 1e-6,
                               max_iters: int = 20000, X0=None, y0=None,
                               omega: float = 1.0, kkt_stop: bool = False):
-    """``reference_solve`` with the restart rule of ``pdhg.solve`` written
-    out step by step: the fixed-point residual of each step is the norm of
+    """``reference_solve`` with the restart rule of ``pdhg.iterates``
+    written out step by step: the fixed-point residual of each step is the norm of
     (X_t - X_{t-1}, y_t - y_{t-1}) in the metric [[I/a, -A*], [-A, I/b]],
     with A* applied to the dual difference directly; a restart comes once
     it is at most 0.2 of its value at the first step of the restart period,

@@ -13,6 +13,7 @@ from sdpxlab.core import (
     SdpInstance,
     ShapeError,
     SparseSymMatrix,
+    apply_A_adjoint,
     objective,
     permute_instance,
     symmetrize,
@@ -26,12 +27,11 @@ from sdpxlab.pdhg import (
     lambda_max_op,
     min_norm_solution,
     project_psd,
-    restarted_iterates,
     solve,
     solve_continuation,
 )
 from sdpxlab.relaxations import er_graph, maxcut_sdp
-from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance
+from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance, sample_instances
 
 from oracles import (
     bisection_eigvals,
@@ -278,19 +278,6 @@ def test_iterates_rejects_bad_weight(omega):
         next(iterates(one_dim(), 1e-6, omega=omega))
 
 
-def test_sent_weight_changes_only_the_step_sizes():
-    inst = maxcut_sdp(er_graph(8, 0.5, 3))
-    gen, ref = iterates(inst, 1e-6), reference_iterates(inst, 1e-6)
-    for t in range(1, 41):
-        weight = 3.0 if t == 10 else 0.5 if t == 25 else None  # sets step t
-        state, (X, y, primal, step_res) = gen.send(weight), ref.send(weight)
-        np.testing.assert_array_equal(state.X, X)
-        np.testing.assert_array_equal(state.y, y)
-        assert (state.t, state.primal_res, state.step_res) == (t, primal, step_res)
-        assert state.restarts == (t >= 10) + (t >= 25)
-        assert state.omega == (1.0 if t < 10 else 3.0 if t < 25 else 0.5)
-
-
 def _engine_instances():
     return [prop_diag_pair_instance(), latin_square_instance(),
             maxcut_sdp(er_graph(8, 0.5, 3))]
@@ -298,13 +285,23 @@ def _engine_instances():
 
 def test_iterates_match_reference_loop():
     for inst in _engine_instances():
-        steps = zip(islice(iterates(inst, 1e-6), 200),
-                    reference_iterates(inst, 1e-6))
-        for state, (X, y, primal, step_res) in steps:
+        states = list(islice(iterates(inst, 1e-6), 200))
+        first = next(s.t for s in states if s.restarts)  # the step after the restart
+        assert states[-1].restarts >= 1
+        # the fixed-weight loop, bit for bit, up to the first restart
+        for state, (X, y, primal, step_res) in zip(states[:first - 1],
+                                                   reference_iterates(inst, 1e-6)):
             np.testing.assert_array_equal(state.X, X)
             np.testing.assert_array_equal(state.y, y)
             assert (state.primal_res, state.step_res) == (primal, step_res)
-        assert state.t == 200
+            assert (state.omega, state.restarts) == (1.0, 0)
+        # the restarted loop after it; a tolerance below zero never stops early
+        for state in states[first - 1::17] + states[-1:]:
+            X, y, iters, _, restarts, omega = reference_restarted_solve(
+                inst, tol=-1.0, max_iters=state.t)
+            np.testing.assert_array_equal(state.X, X)
+            np.testing.assert_array_equal(state.y, y)
+            assert (state.t, state.restarts, state.omega) == (iters, restarts, omega)
 
 
 def test_solve_matches_reference_loop():
@@ -320,7 +317,7 @@ def test_solve_matches_reference_loop():
 
 def test_solve_matches_fixed_weight_loop_until_first_restart():
     for inst in _engine_instances():
-        first = next(s for s in restarted_iterates(inst, 1e-6) if s.restarts)
+        first = next(s for s in iterates(inst, 1e-6) if s.restarts)
         last_fixed = first.t - 1  # the restart comes after this step
         triple, stats = solve(inst, PdhgConfig(max_iters=last_fixed))
         X, y, iters, converged = reference_solve(inst, max_iters=last_fixed)
@@ -365,7 +362,7 @@ def test_restart_weight_does_not_depend_on_labels():
 
 def test_no_restart_at_an_exact_fixed_point():
     # prop_diag_pair reaches fp_res == 0 within 100 steps at eps = 1e-6
-    states = list(islice(restarted_iterates(prop_diag_pair_instance(), 1e-6), 300))
+    states = list(islice(iterates(prop_diag_pair_instance(), 1e-6), 300))
     assert states[150].fp_res == 0.0
     assert states[-1].restarts == states[150].restarts >= 1
 
@@ -387,6 +384,18 @@ def test_continuation_runs_one_power_iteration(monkeypatch):
     assert calls == [inst]
     # the cached estimate is the seeded power iteration's, bit for bit
     assert inst.lambda_max == original(inst)
+
+
+def test_unconverged_solve_reports_the_final_dual_residual():
+    # step 48 passes the primal and step tests and fails the dual one, and
+    # step 49, the last, fails the primal test: the dual is step 49's
+    inst = sample_instances(0, 3)[0]
+    cfg = PdhgConfig(eps=1e-2, tol=1e-3, max_iters=49)
+    triple, stats = solve(inst, cfg)
+    assert (stats.iterations, stats.converged) == (49, False)
+    S = inst.C + cfg.eps * triple.X + apply_A_adjoint(inst, triple.y)
+    assert stats.dual_res == pytest.approx(
+        float(np.linalg.norm(S - project_psd(S))), rel=1e-9)
 
 
 def test_solve_one_dim():

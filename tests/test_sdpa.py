@@ -77,6 +77,26 @@ def test_round_trip_random_values(seed, n):
     np.testing.assert_array_equal(inst.b, again.b)
 
 
+@pytest.mark.parametrize("C", [np.diag([1.0, 0.0]), np.zeros((2, 2))])
+def test_round_trip_without_constraints(C):
+    # m = 0 writes an empty rhs line, which the reader drops as blank
+    inst = SdpInstance(n=2, C=C, A=(), b=[])
+    again = read_sdpa(write_sdpa(inst))
+    assert (again.n, again.m) == (2, 0)
+    np.testing.assert_array_equal(again.C, C)
+
+
+def test_rhs_line_without_constraints_is_optional():
+    inst = SdpInstance(n=2, C=np.diag([1.0, 0.0]), A=(), b=[])
+    assert read_sdpa("0\n1\n2\n{}\n0 1 1 1 -1.0\n") == inst
+    assert read_sdpa("0\n1\n2\n0 1 1 1 -1.0\n") == inst
+    with pytest.raises(SdpaParseError) as err:
+        read_sdpa("0\n1\n2\n1.0\n")  # an rhs value with no constraint
+    assert err.value.line_no == 4
+    with pytest.raises(SdpaParseError, match="truncated header"):
+        read_sdpa("1\n1\n2\n")
+
+
 def test_multiblock_flattens_to_block_diagonal():
     text = "\n".join([
         "1", "2", "2 1", "3.5",

@@ -10,7 +10,7 @@ import sdpxlab.nn as nn_mod
 import sdpxlab.verify as verify_mod
 from sdpxlab.colors import Partition
 from sdpxlab.nn import Arch, decode, forward
-from sdpxlab.pdhg import PdhgConfig, restarted_iterates
+from sdpxlab.pdhg import PdhgConfig, iterates
 from sdpxlab.relaxations import er_graph, maxcut_sdp
 from sdpxlab.verify import (
     CASE_IDS,
@@ -72,14 +72,13 @@ def test_trajectory_case_on_prop32():
     assert report.passed
 
 
-def test_trajectory_refinement_holds_across_restarts(monkeypatch):
-    # the spread check of the trajectory case, along the iterates of
-    # pdhg.solve, whose primal weight changes at every restart
-    monkeypatch.setattr(verify_mod, "iterates", restarted_iterates)
+def test_trajectory_refinement_holds_across_restarts():
+    # the trajectory case reads the iterates of pdhg.solve, whose primal
+    # weight changes at every restart
     for case_id, inst in trajectory_instances(0):
         report = check_trajectory_refinement(inst, case_id=case_id)
         assert report.passed, (case_id, report.observed)
-        *_, last = islice(restarted_iterates(inst, PdhgConfig().eps), 500)
+        *_, last = islice(iterates(inst, PdhgConfig().eps), 500)
         assert last.restarts >= 2 and last.omega != 1.0, case_id
 
 
@@ -168,6 +167,16 @@ def test_nn_deviations_match_the_per_property_oracles(arch, monkeypatch):
     # zero where the drawn constraint order is the identity
     assert 0 < np.count_nonzero(invariance) < len(invariance)
 
+
+@pytest.mark.parametrize("arch", list(Arch))
+def test_nn_deviations_are_zero_on_the_nn_properties_inputs(arch):
+    # d = 8 and 3 layers, where a matrix-vector readout rounded each cell by
+    # its row position and moved the decoded output by up to 6e-14
+    for inst in sample_instances(4, 1, 4, 7, ("maxcut", "maxclique")):
+        for seed in (0, 1):
+            dev = nn_deviations(arch, inst, 8, 3, seed)
+            assert dev["symmetry"] == dev["equivariance"] == dev["invariance"] == 0.0, (
+                inst.n, seed, dev)
 
 def test_nn_deviations_flag_perturbed_constraints_and_readout(monkeypatch):
     # maxcut's diagonal constraints share one color, so a bump on the
