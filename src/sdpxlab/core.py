@@ -166,6 +166,35 @@ class SparseSymMatrix:
                 and np.array_equal(self.vals, other.vals))
 
 
+def entry_table(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Parallel arrays (constraint id, row, column, value) of the stored
+    entries of the matrices ``A``, in order; the inverse of
+    ``matrices_from_table``."""
+    k = np.repeat(np.arange(len(A)), np.array([len(a.vals) for a in A], dtype=np.int64))
+    rows = np.concatenate([np.zeros(0, np.int64), *(a.rows for a in A)])
+    cols = np.concatenate([np.zeros(0, np.int64), *(a.cols for a in A)])
+    vals = np.concatenate([np.zeros(0), *(a.vals for a in A)])
+    return k, rows, cols, vals
+
+
+def matrices_from_table(n: int, m: int, k, rows, cols, vals) -> tuple[SparseSymMatrix, ...]:
+    """Constraint matrices 0..m-1 from one entry table.
+
+    ``k``, ``rows``, ``cols`` and ``vals`` are parallel arrays of constraint
+    id, row, column and finite value, sorted by (k, row, col), with row <= col
+    and no (k, row, col) twice: what ``from_coords`` checks per matrix, the
+    caller guarantees for the whole table.  Values that quantize to zero are
+    dropped, and each matrix holds read-only slices of the table that is left.
+    """
+    keep = quantize_array(vals) != 0.0
+    k, rows, cols, vals = k[keep], rows[keep], cols[keep], vals[keep]
+    for a in (rows, cols, vals):
+        a.flags.writeable = False
+    ends = np.searchsorted(k, np.arange(m + 1)).tolist()
+    return tuple(SparseSymMatrix(n=n, rows=rows[s:e], cols=cols[s:e], vals=vals[s:e])
+                 for s, e in zip(ends, ends[1:]))
+
+
 class IntView(NamedTuple):
     """Integer form of an instance, read by color refinement.
 
@@ -252,11 +281,8 @@ class SdpInstance:
     def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only parallel arrays (k, cell = i*n + j, val) of every entry,
         both triangles expanded, sorted by constraint id, then by cell."""
-        n, A = self.n, self.A
-        k = np.repeat(np.arange(self.m), np.array([len(a.vals) for a in A], dtype=np.int64))
-        i = np.concatenate([np.zeros(0, np.int64), *(a.rows for a in A)])
-        j = np.concatenate([np.zeros(0, np.int64), *(a.cols for a in A)])
-        v = np.concatenate([np.zeros(0), *(a.vals for a in A)])
+        n = self.n
+        k, i, j, v = entry_table(self.A)
         off = i != j
         k = np.concatenate([k, k[off]])
         cell = np.concatenate([i * n + j, j[off] * n + i[off]])
@@ -397,10 +423,11 @@ def permute_instance(inst: SdpInstance, perm) -> SdpInstance:
         raise ShapeError("not a permutation of range(n)")
     C = np.zeros_like(inst.C)
     C[np.ix_(perm, perm)] = inst.C
-    A = tuple(
-        SparseSymMatrix.from_coords(
-            inst.n, [(perm[i], perm[j], v) for i, j, v in ak.coords()])
-        for ak in inst.A)
+    k, i, j, v = entry_table(inst.A)
+    p = np.array(perm, dtype=np.int64)
+    i, j = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
+    order = np.lexsort((j, i, k))
+    A = matrices_from_table(inst.n, inst.m, k[order], i[order], j[order], v[order])
     return SdpInstance(n=inst.n, C=C, A=A, b=inst.b.copy(),
                        metadata=dict(inst.metadata))
 

@@ -254,7 +254,12 @@ def test_permute_instance_matches_loop_oracle():
         instances = [maxcut_sdp(g), maxclique_sdp(g), mis_sdp(g), vertexcover_sdp(g),
                      max2sat_sdp(random_clauses(5, 10, seed)), lmi_sdp(3, 2, seed),
                      lp_to_sdp(rng.standard_normal(4), rng.standard_normal((2, 4)),
-                               rng.standard_normal(2))]
+                               rng.standard_normal(2)),
+                     maxclique_sdp(er_graph(20, 0.5, seed)),  # m close to n^2/4
+                     SdpInstance(n=3, C=np.eye(3), b=[0.0, 1.0, 2.0], A=(
+                         SparseSymMatrix.from_coords(3, [(0, 1, 2.0), (2, 0, -1.0)]),
+                         SparseSymMatrix.from_coords(3, [(1, 2, 1e-14)]),  # no entry left
+                         SparseSymMatrix.from_coords(3, [(2, 2, 0.5), (0, 0, 1.5)])))]
         for inst in instances:
             perm = rng.permutation(inst.n).tolist()
             got, ref = permute_instance(inst, perm), loop_permute_instance(inst, perm)
