@@ -5,13 +5,16 @@ arrays (dense ids 0..K-1 per namespace).  Each round gives every cell a
 fixed-width signature row: its color, the columns of its algorithm's
 builder in ``_SIGNATURES``, and the id of its multiset of (A_kij, color
 of k); each constraint gets its color and its multiset of (A_kij, color
-of cell).  One lexicographic sort interns the rows (equal rows, equal
-ids: exact, no hashing); the ordered-update variants then copy the upper
-triangle onto the lower one.  Multisets are interned one size at a time
-in disjoint id ranges, never padded to the largest size.  Coefficients
-come from ``SdpInstance.int_view``, built once per instance with the
-12-digit quantization of core.quantize_key.  ``tests/oracles.py`` keeps
-the pure-Python refinement this replaced as the differential oracle.
+of cell).  One stable ``argsort`` interns the rows, each written as one
+byte string by ``core.order_keys`` that compares like the row's values
+in lexicographic order, however wide the row is (equal rows, equal ids:
+exact, no hashing); the ordered-update variants intern only the rows of
+the upper triangle and give cell (j, i) the id of (i, j).  Multisets are
+interned one size at a time in disjoint id ranges, never padded to the
+largest size.  Coefficients come from ``SdpInstance.int_view``, built
+once per instance with the 12-digit quantization of core.quantize_key.
+``tests/oracles.py`` keeps the column-by-column ``np.lexsort`` interning
+and the pure-Python refinement this replaced as differential oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SdpInstance, ShapeError, StabilizationError
+from .core import SdpInstance, ShapeError, StabilizationError, order_keys
 
 
 class Algo(str, Enum):
@@ -34,7 +37,7 @@ class Algo(str, Enum):
 
 
 # Ordered row/column updates are not transpose-invariant; these variants
-# copy the upper triangle over the lower one after each round so stable
+# give (j, i) the new color of (i, j) for i <= j after each round so stable
 # classes satisfy class(i,j) == class(j,i) for every algorithm.
 SYMMETRIZED_ALGOS = frozenset(
     {Algo.VC2WL, Algo.VC2FWLP, Algo.DELTA_VC2WL, Algo.VC2IGNWL})
@@ -105,11 +108,12 @@ def _n_ids(ids: np.ndarray) -> int:
 
 def _intern_rows(table: np.ndarray) -> np.ndarray:
     """Dense ids of the rows of a 2-D int64 table in lexicographic order:
-    equal rows, equal ids."""
+    equal rows, equal ids.  One stable ``argsort`` of the rows'
+    ``order_keys`` ranks them, whatever the width."""
     rows, width = table.shape
     if rows == 0 or width == 0:
         return np.zeros(rows, dtype=np.int64)
-    order = np.lexsort(table.T[::-1])
+    order = np.argsort(order_keys(table), kind="stable")
     ranked = table[order]
     new = np.empty(rows, dtype=bool)
     new[0] = True
@@ -193,13 +197,14 @@ def _refine(algo: Algo, inst: SdpInstance, var: np.ndarray,
     cell_sets = _multiset_ids(view.A * _n_ids(con) + con[k], view.by_cell)
     table = np.concatenate([var[:, :, None], _SIGNATURES[algo](var, view),
                             cell_sets.reshape(n, n, 1)], axis=2)
-    new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
+    if algo in SYMMETRIZED_ALGOS:
+        upper = np.triu_indices(n)
+        new_var = np.empty((n, n), dtype=np.int64)
+        new_var[upper] = new_var.T[upper] = _intern_rows(table[upper])
+    else:
+        new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
     con_sets = _multiset_ids(view.A * _n_ids(var) + var.reshape(-1)[cell], view.by_con)
     new_con = _intern_rows(np.stack([con, con_sets], axis=1))
-    if algo in SYMMETRIZED_ALGOS:
-        lower = np.tril_indices(n, -1)
-        new_var[lower] = new_var.T[lower]
-        new_var = _intern_rows(new_var.reshape(-1, 1)).reshape(n, n)
     return new_var, new_con
 
 

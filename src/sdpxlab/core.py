@@ -196,7 +196,8 @@ def matrices_from_table(n: int, m: int, k, rows, cols, vals) -> tuple[SparseSymM
 
 
 class IntView(NamedTuple):
-    """Integer form of an instance, read by color refinement.
+    """Integer form of an instance, read by color refinement and by the
+    forward passes (``adj`` and the entry groups of their segment sums).
 
     ``C`` (n, n), ``A`` (per ``coo`` entry) and ``b`` (m,) hold ids of
     quantized values, equal iff the values quantize equal; ``adj`` marks
@@ -240,6 +241,26 @@ def _segment_groups(seg: np.ndarray, size: int, order: np.ndarray) -> tuple:
         members = np.flatnonzero(counts == length)
         groups.append((members, order[starts[members, None] + np.arange(length)]))
     return tuple(groups)
+
+
+_SIGN = np.uint64(1 << 63)
+
+
+def order_keys(table: np.ndarray) -> np.ndarray:
+    """One ``np.void`` key per row of a 2-D int64 or float64 ``table`` of
+    width >= 1, comparing as a byte string like the row's values compare
+    in lexicographic order: each value is written as a big-endian uint64
+    with its sign bit flipped (and, for a negative float, every other bit
+    too), -0.0 as +0.0.  So one ``argsort`` of the keys sorts the rows."""
+    rows, width = table.shape
+    if table.dtype.kind == "f":
+        bits = np.add(table, 0.0, order="C").view(np.uint64)
+        bits ^= (bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN
+    else:
+        bits = np.bitwise_xor(table.view(np.uint64), _SIGN, order="C")
+    if np.little_endian:
+        bits.byteswap(inplace=True)
+    return bits.view(np.dtype((np.void, 8 * width))).reshape(rows)
 
 
 @dataclass(eq=False)

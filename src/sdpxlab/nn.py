@@ -12,13 +12,21 @@ rows: one per ``coo`` entry or per cell; per triple (i, j, u) of the
 ``vc2fmpnn`` and ``vcet`` pair layers, which run in blocks of consecutive
 i of about ``_BLOCK_ROWS`` rows; and, for ``delta``, whose row u of
 (i, j) carries an adjacency flag that is 0 or 1, on the 2n² candidate
-rows (h, 0) and (h, 1) of each cell h.  Every multiset reduction is one
-``_segment_sum``: rows sorted by (segment, row values in lexicographic
-order), each segment added in that order (``delta`` orders each segment
-by the dense rank of its candidates in the same key order, the same
-sums bit for bit).  So cells whose refinement colors agree get
-bit-identical embeddings, and permuting the instance permutes the
-embeddings and the ``decode`` readout exactly.
+rows (h, 0) and (h, 1) of each cell h.  Every multiset reduction is
+canonical per column: ``_column_sums`` sorts each column of each segment
+on its own and adds it in a fixed order, over the ``coo`` entries of
+each cell and constraint (``_segment_sum``), over the triples of a pair
+layer (``_pair_sum``), and over the rows and columns of the cells.  So
+equal multisets of rows give bit-equal sums whatever order the rows come
+in.  ``delta`` instead adds each segment's rows in the order of the
+dense rank of its candidates' ``core.order_keys``, whole rows in
+lexicographic order: one rank per row to sort, not d values.  Cells
+whose refinement colors agree therefore get bit-identical embeddings,
+and permuting the instance permutes the embeddings and the ``decode``
+readout exactly.  A sum in another order of the same rows, such as the
+row-by-row order these reductions used before, can differ in the last
+bits: by at most 2 γ_k Σ|x| per column of k rows, γ_k = k u / (1 - k u)
+with u = 2^-53, the bound that the tests check against that row order.
 """
 
 from __future__ import annotations
@@ -32,11 +40,16 @@ from types import MappingProxyType
 import numpy as np
 
 from .colors import Algo
-from .core import SdpInstance, ShapeError, _segment_groups, quantize_array, symmetrize
+from .core import (
+    SdpInstance,
+    ShapeError,
+    order_keys,
+    quantize_array,
+    symmetrize,
+)
 
 _BLOCK_ROWS = 1 << 12  # rows per block of a pair layer
 _PARAMS_CACHE_SIZE = 64  # weight sets that build_params keeps
-_SIGN = np.uint64(1 << 63)
 
 
 class Arch(str, Enum):
@@ -214,57 +227,58 @@ def _build_params(arch: Arch, d: int, n_layers: int, seed: int) -> ArchParams:
                       layers=tuple(layers), decode_head=decode_head)
 
 
-def _row_keys(rows: np.ndarray, seg) -> np.ndarray:
-    """One byte-string key per row: ``seg``, then the row as big-endian
-    uint64s that order like the floats (-0.0 as +0.0)."""
-    n_rows, d = rows.shape
-    bits = (rows + 0.0).view(np.uint64)
-    keys = np.empty((n_rows, d + 1), dtype=">u8")
-    keys[:, 0] = seg
-    keys[:, 1:] = bits ^ ((bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN)
-    return keys.view(np.dtype((np.void, 8 * (d + 1)))).reshape(-1)
+def _column_sums(stack: np.ndarray) -> np.ndarray:
+    """(b, d) sums over u of a (b, k, d) stack indexed [segment, u, column]:
+    each column of each segment is sorted on its own, then added in an
+    order that depends on k alone, so equal multisets of rows give
+    bit-equal sums.  A column sums to -0.0 only when every entry is -0.0,
+    so where the sort puts zeros of either sign does not change the sum.
+    The columns are copied out as contiguous rows, which each sort and
+    sum then runs along."""
+    cols = np.ascontiguousarray(stack.transpose(0, 2, 1))
+    cols.sort(axis=2)
+    return cols.sum(axis=2)
 
 
-def _segment_sum(rows: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    """(n_seg, d) sums of the rows of each segment ``seg == s``, each added
-    by position after sorting by (segment, row values in lexicographic
-    order), so equal multisets give bit-equal sums; empty segments sum to
-    0.  The sort key is ``_row_keys``, compared as one byte string."""
-    d = rows.shape[1]
-    order = np.argsort(_row_keys(rows, seg), kind="stable")
-    out = np.empty((n_seg, d))
-    for members, entries in _segment_groups(seg, n_seg, order):
-        out[members] = rows[entries].sum(axis=1)
+def _segment_sum(rows: np.ndarray, groups) -> np.ndarray:
+    """Sums of the rows of each segment of ``groups`` (``IntView.by_cell``
+    or ``by_con``) by ``_column_sums``, one stack per segment length;
+    empty segments sum to 0."""
+    out = np.empty((sum(len(members) for members, _ in groups), rows.shape[1]))
+    for members, entries in groups:
+        out[members] = _column_sums(rows[entries])
     return out
 
 
 def _pair_sum(n: int, d: int, block_rows) -> np.ndarray:
     """(n, n, d) sums over u of the rows that ``block_rows(ib)`` returns as
-    a (len(ib), n, n, d) array indexed [i, j, u], one block of i at a time."""
+    a (len(ib), n, n, d) array indexed [i, j, u], one block of i at a time,
+    each (i, j) summed by ``_column_sums``."""
     out = np.empty((n * n, d))
     step = max(1, _BLOCK_ROWS // (n * n))
     for lo in range(0, n, step):
         rows = block_rows(slice(lo, lo + step))
         b = len(rows) * n                   # segments (i, j) of the block
-        seg = np.repeat(np.arange(b), n)
-        out[lo * n:lo * n + b] = _segment_sum(rows.reshape(-1, d), seg, b)
+        out[lo * n:lo * n + b] = _column_sums(rows.reshape(b, n, d))
     return out.reshape(n, n, d)
 
 
 def _flag_pair_sum(mlp, G: np.ndarray, flag: np.ndarray) -> np.ndarray:
     """(n, n, d) sums over u of ``mlp([G[i, u], flag[u, j]])`` for a 0/1
-    ``flag``, bit for bit what ``_pair_sum`` gives on those n³ rows.
-    ``mlp`` runs on the 2n² candidates [G[i, u], a], laid out [i, a, u]
-    as the (n, d + 1) matrices of rows u that the n³-row path multiplies,
-    so each candidate takes the same matrix product; each segment (i, j)
-    adds its rows in the order of the candidates' dense rank by
-    ``_row_keys``, ties by u."""
+    ``flag``.  ``mlp`` runs on the 2n² candidates [G[i, u], a], laid out
+    [i, a, u] as the (n, d + 1) matrices of rows u that a path over all
+    n³ rows would multiply, so each candidate takes the same matrix
+    product; each segment (i, j) adds its rows in the order of the
+    candidates' dense rank by ``order_keys`` (whole rows in lexicographic
+    order), ties by u, so equal multisets of rows give bit-equal sums.
+    Sorting each column, as ``_pair_sum`` does, would sort d values per
+    row of the segment instead of one rank."""
     n, _, d = G.shape
     inp = np.empty((n, 2, n, d + 1))
     inp[..., :d] = G[:, None]
     inp[..., d] = np.array([0.0, 1.0])[:, None]
     cand = mlp(inp).reshape(2 * n * n, d)
-    rank = np.unique(_row_keys(cand, 0), return_inverse=True)[1]
+    rank = np.unique(order_keys(cand), return_inverse=True)[1]
     # row u of (i, j) is candidate (2 i + flag[u, j]) n + u; [j, u] part here
     cols = n * flag.T.astype(np.intp) + np.arange(n)
     out = np.empty((n * n, d))
@@ -307,17 +321,18 @@ def _neighbor_messages(inst, H, hc, lp, d):
     q = quantize_array(val)[:, None]
     to_cell = lp["msg_cv"](np.concatenate([q, hc[k]], axis=1))
     to_con = lp["msg_vc"](np.concatenate([q, H.reshape(n * n, d)[cell]], axis=1))
-    return (_segment_sum(to_cell, cell, n * n).reshape(n, n, d),
-            _segment_sum(to_con, k, inst.m))
+    view = inst.int_view
+    return (_segment_sum(to_cell, view.by_cell).reshape(n, n, d),
+            _segment_sum(to_con, view.by_con))
 
 
 def _ign_message(H: np.ndarray, pars: IgnParams, d: int) -> np.ndarray:
     n = H.shape[0]
     flat = H.reshape(n * n, d)
     diag = H[np.arange(n), np.arange(n)]                             # (n, d)
-    row_sums = _segment_sum(flat, np.repeat(np.arange(n), n), n)      # (n, d)
-    trace = _segment_sum(diag, np.zeros(n, np.int64), 1)[0]
-    total = _segment_sum(flat, np.zeros(n * n, np.int64), 1)[0]
+    row_sums = _column_sums(H)                                       # (n, d)
+    trace = _column_sums(diag[None])[0]
+    total = _column_sums(flat[None])[0]
     eye, ones = np.eye(n)[:, :, None], np.ones((n, n, 1))
     ops = [H, ones * trace, ones * total, eye * diag[:, None, :],
            eye * row_sums[:, None, :], eye * trace, eye * total,
@@ -367,8 +382,8 @@ def layer(state: EmbeddingState, inst: SdpInstance,
     elif arch in (Arch.VC2MPNN, Arch.DELTA_VC2MPNN):
         if arch is Arch.VC2MPNN:
             flat = H.reshape(n * n, d)              # row a*n + b is h_ab
-            m_row = _segment_sum(lp["msg_row"](flat), np.repeat(np.arange(n), n), n)
-            m_col = _segment_sum(lp["msg_col"](flat), np.tile(np.arange(n), n), n)
+            m_row = _column_sums(lp["msg_row"](flat).reshape(n, n, d))
+            m_col = _column_sums(lp["msg_col"](flat).reshape(n, n, d).transpose(1, 0, 2))
             m_row_ij = np.broadcast_to(m_row[:, None, :], (n, n, d))
             m_col_ij = np.broadcast_to(m_col[None, :, :], (n, n, d))
         else:

@@ -18,7 +18,10 @@ sorted once by (matrix, row, column) into one table whose slices are the
 constraint matrices.  A malformed file raises ``SdpaParseError`` for the
 first bad line in file order: once a mask or a column parse fails, the
 lines up to the first flagged one are checked again one at a time to name
-the fault.  An all-zero constraint warns at the caller of ``read_sdpa``.
+the fault.  Block sizes whose total n would make the n x n objective
+larger than the address space are a parse error of their line, raised
+before anything is allocated.  An all-zero constraint warns at the
+caller of ``read_sdpa``.
 """
 
 from __future__ import annotations
@@ -131,8 +134,10 @@ def read_sdpa(text: str) -> SdpInstance:
                 f"line {nos[2]}: diagonal block of size {s} not supported")
         if s == 0:
             raise SdpaParseError(nos[2], "zero block size")
+    n = sum(sizes)
+    if n * n * 8 > np.iinfo(np.intp).max:
+        raise SdpaParseError(nos[2], f"total block size {n} too large for an n x n array")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
 
     toks = _clean_split(lines[3])
     if len(toks) != m:

@@ -26,7 +26,11 @@ the verify property checks that ``verify.nn_deviations`` and one
 class-spread reduction replaced: one forward pass per property and one
 loop per color class (``nn_symmetry_deviation``,
 ``nn_equivariance_deviation``, ``nn_invariance_deviation``,
-``nn_coloring_respect``, ``reference_trajectory_refinement``), and the
+``nn_coloring_respect``, ``reference_trajectory_refinement``), the
+row-order segment sums that the per-column sorts of ``nn._segment_sum``
+and ``nn._pair_sum`` replaced (``row_segment_sum``, ``row_pair_sum``),
+the ``np.lexsort`` interning that the byte-key sort of
+``colors._intern_rows`` replaced (``lexsort_intern_rows``), and the
 SDPA reader that parsed and checked one entry line at a time and the
 writer that read ``-C`` one cell at a time, which the column-wise reader
 and writer of ``sdpxlab.sdpa`` replaced (``reference_read_sdpa``,
@@ -628,6 +632,69 @@ def reference_joint_encoding_stable(inst, max_rounds=None):
     return _reference_partition(var, qb, n, rounds)
 
 
+# --- the row-order reductions that ``nn`` and ``colors`` replaced ----------
+
+_SIGN = np.uint64(1 << 63)
+
+
+def _row_keys(rows: np.ndarray, seg) -> np.ndarray:
+    """One byte-string key per row: ``seg``, then the row as big-endian
+    uint64s that order like the floats (-0.0 as +0.0)."""
+    n_rows, d = rows.shape
+    bits = (rows + 0.0).view(np.uint64)
+    keys = np.empty((n_rows, d + 1), dtype=">u8")
+    keys[:, 0] = seg
+    keys[:, 1:] = bits ^ ((bits >> np.uint64(63)) * (_SIGN - np.uint64(1)) | _SIGN)
+    return keys.view(np.dtype((np.void, 8 * (d + 1)))).reshape(-1)
+
+
+def row_segment_sum(rows: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    """(n_seg, d) sums of the rows of each segment ``seg == s``, each added
+    by position after sorting by (segment, row values in lexicographic
+    order), so equal multisets give bit-equal sums; empty segments sum to
+    0.  The sort key is ``_row_keys``, compared as one byte string."""
+    from sdpxlab.core import _segment_groups
+
+    d = rows.shape[1]
+    order = np.argsort(_row_keys(rows, seg), kind="stable")
+    out = np.empty((n_seg, d))
+    for members, entries in _segment_groups(seg, n_seg, order):
+        out[members] = rows[entries].sum(axis=1)
+    return out
+
+
+def row_pair_sum(n: int, d: int, block_rows) -> np.ndarray:
+    """(n, n, d) sums over u of the rows that ``block_rows(ib)`` returns as
+    a (len(ib), n, n, d) array indexed [i, j, u], one block of i at a
+    time, each (i, j) added in ``row_segment_sum`` order."""
+    from sdpxlab.nn import _BLOCK_ROWS
+
+    out = np.empty((n * n, d))
+    step = max(1, _BLOCK_ROWS // (n * n))
+    for lo in range(0, n, step):
+        rows = block_rows(slice(lo, lo + step))
+        b = len(rows) * n                   # segments (i, j) of the block
+        seg = np.repeat(np.arange(b), n)
+        out[lo * n:lo * n + b] = row_segment_sum(rows.reshape(-1, d), seg, b)
+    return out.reshape(n, n, d)
+
+
+def lexsort_intern_rows(table: np.ndarray) -> np.ndarray:
+    """Dense ids of the rows of a 2-D int64 table in lexicographic order:
+    equal rows, equal ids; one ``np.lexsort`` key per column."""
+    rows, width = table.shape
+    if rows == 0 or width == 0:
+        return np.zeros(rows, dtype=np.int64)
+    order = np.lexsort(table.T[::-1])
+    ranked = table[order]
+    new = np.empty(rows, dtype=bool)
+    new[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=new[1:])
+    ids = np.empty(rows, dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids
+
+
 # --- the per-cell forward layer that ``nn.layer`` replaced ----------------
 
 def _nn_quantized(values) -> np.ndarray:
@@ -803,9 +870,9 @@ def reference_forward(arch, inst, d: int, n_layers: int, seed: int):
 def reference_delta_pair_messages(H: np.ndarray, adj: np.ndarray, lp):
     """The delta layer's row and column pair messages on all n³ rows:
     ``msg_row`` on [h_iu, adj_uj] and ``msg_col`` on [h_uj, adj_iu], each
-    (i, j) summed over u by ``nn._pair_sum``, in blocks of consecutive i.
-    This is the path that ``nn._delta_messages`` replaced."""
-    from sdpxlab.nn import _pair_sum
+    (i, j) summed over u by ``row_pair_sum``, in blocks of consecutive i.
+    This is the path that ``nn._delta_messages`` replaced, in the row
+    order that it keeps."""
 
     n, _, d = H.shape
     adj = adj.astype(np.float64)[..., None]
@@ -814,9 +881,9 @@ def reference_delta_pair_messages(H: np.ndarray, adj: np.ndarray, lp):
         shape = np.broadcast_shapes(h.shape[:3], a.shape[:3])
         return np.concatenate([np.broadcast_to(h, shape + (d,)),
                                np.broadcast_to(a, shape + (1,))], axis=-1)
-    m_row = _pair_sum(n, d, lambda ib: lp["msg_row"](
+    m_row = row_pair_sum(n, d, lambda ib: lp["msg_row"](
         rows(H[ib][:, None], adj.transpose(1, 0, 2)[None])))
-    m_col = _pair_sum(n, d, lambda ib: lp["msg_col"](
+    m_col = row_pair_sum(n, d, lambda ib: lp["msg_col"](
         rows(H.transpose(1, 0, 2)[None], adj[ib][:, None])))
     return m_row, m_col
 

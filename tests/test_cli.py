@@ -7,6 +7,8 @@ from sdpxlab.cli import main
 from sdpxlab.pdhg import PdhgConfig, solve
 from sdpxlab.sdpa import read_sdpa
 
+from test_sdpa import HUGE_BLOCKS
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -124,6 +126,16 @@ def test_solve_non_finite_input_is_error(tmp_path, capsys, value):
     code, out, err = run(["solve", str(path)], capsys)
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("text", HUGE_BLOCKS)
+def test_solve_block_sizes_too_large_is_error(tmp_path, capsys, text):
+    path = tmp_path / "huge.dat-s"
+    path.write_text(text)
+    code, out, err = run(["solve", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: line 3: ") and "Traceback" not in err
     assert out == ""
 
 

@@ -2,11 +2,14 @@ from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sdpxlab.colors import (
     Algo,
     Partition,
     RoundBudgetError,
+    _intern_rows,
     canonical_labels,
     init_colors,
     joint_encoding_stable,
@@ -25,6 +28,7 @@ from sdpxlab.verify import (
 )
 
 from oracles import (
+    lexsort_intern_rows,
     reference_init,
     reference_joint_encoding_stable,
     reference_run_to_stable,
@@ -238,3 +242,33 @@ def test_int_view_is_built_once_per_instance(monkeypatch):
         vcwl_then_multiset_fwl(inst)
     assert len(built) == len(instances)
     assert all(a is b for a, b in zip(built, instances))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def int_tables(draw):
+    """Tables of 0 to 12 rows and 0 to 6 columns whose entries come from a
+    small pool holding both int64 extremes, -1, 0 and 1, so that rows tie
+    in early columns and repeat."""
+    n_rows, width = draw(st.integers(0, 12)), draw(st.integers(0, 6))
+    pool = draw(st.lists(st.integers(_INT64.min, _INT64.max), max_size=3))
+    pool += [_INT64.min, _INT64.min + 1, -1, 0, 1, _INT64.max - 1, _INT64.max]
+    values = draw(st.lists(st.sampled_from(pool), min_size=n_rows * width,
+                           max_size=n_rows * width))
+    return np.array(values, dtype=np.int64).reshape(n_rows, width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_tables())
+@example(np.zeros((0, 0), dtype=np.int64))
+@example(np.zeros((0, 3), dtype=np.int64))
+@example(np.zeros((2, 0), dtype=np.int64))
+@example(np.array([[_INT64.max]], dtype=np.int64))
+@example(np.array([[_INT64.max], [_INT64.min], [-1], [0]], dtype=np.int64))
+@example(np.array([[-1, _INT64.max], [-1, _INT64.min], [0, 0]], dtype=np.int64))
+def test_intern_rows_ids_equal_the_lexsort_oracle(table):
+    got = _intern_rows(table)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, lexsort_intern_rows(table))

@@ -16,6 +16,7 @@ from sdpxlab.core import (
     constraint_residual,
     neighbor_lists,
     objective,
+    order_keys,
     permute_instance,
     quantize_key,
     relative_obj_gap,
@@ -318,3 +319,16 @@ def test_reorder_constraints_matches_loop_oracle():
         assert got.A == ref.A
         np.testing.assert_array_equal(got.b, ref.b)
         assert got.metadata == ref.metadata
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 4), st.data())
+def test_order_keys_sort_float_rows_like_lexsort(n_rows, width, data):
+    # ties in early columns, zeros of both signs (equal), both infinities
+    pool = data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3))
+    pool += [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, np.inf, -np.inf]
+    table = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n_rows * width,
+                                        max_size=n_rows * width))).reshape(n_rows, width)
+    keys = order_keys(table)
+    assert keys.shape == (n_rows,)
+    np.testing.assert_array_equal(np.argsort(keys, kind="stable"), np.lexsort(table.T[::-1]))

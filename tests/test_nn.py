@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import (
     _nn_quantized,
-    csum,
     reference_delta_pair_messages,
     reference_forward,
     reference_triangular_attention,
+    row_segment_sum,
 )
 from sdpxlab.colors import init_colors
-from sdpxlab.core import ShapeError, quantize_array
+from sdpxlab.core import ShapeError, _segment_groups, quantize_array
 from sdpxlab.nn import (
     Arch,
     ArchParams,
@@ -225,13 +225,43 @@ def segment_layouts(draw):
     return rows[perm], seg[perm], len(lengths)
 
 
-@settings(max_examples=200, deadline=None)
-@given(segment_layouts())
-def test_segment_sum_is_bit_identical_to_sorted_row_sum(layout):
+def _sums(rows, seg, n_seg):
+    return _segment_sum(rows, _segment_groups(seg, n_seg, np.argsort(seg, kind="stable")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_layouts(), st.data())
+def test_segment_sum_is_bit_identical_under_row_order_and_equal_multisets(layout, data):
     rows, seg, n_seg = layout
-    got = _segment_sum(rows, seg, n_seg)
-    want = np.stack([csum(rows[seg == s], rows.shape[1]) for s in range(n_seg)])
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    # one more segment holding a segment's rows in another order, then
+    # every row moved to a new position
+    copied = data.draw(st.integers(0, n_seg - 1))
+    members = rows[seg == copied]
+    shuffle = np.array(data.draw(st.permutations(range(len(members)))), dtype=np.int64)
+    rows = np.concatenate([rows, members[shuffle].reshape(-1, rows.shape[1])])
+    seg = np.concatenate([seg, np.full(len(members), n_seg)])
+    perm = np.array(data.draw(st.permutations(range(len(rows)))), dtype=np.int64)
+    got = _sums(rows, seg, n_seg + 1).view(np.uint64)
+    np.testing.assert_array_equal(_sums(rows[perm], seg[perm], n_seg + 1).view(np.uint64), got)
+    np.testing.assert_array_equal(got[n_seg], got[copied])
+
+
+def _row_order_bound(rows, seg, n_seg):
+    """Per segment of k rows and per column, 2 gamma_k sum |x|, with
+    gamma_k = k u / (1 - k u) and u = 2^-53.  Any order of summing k values
+    errs by at most gamma_(k-1) sum |x|, so two orders differ by at most
+    twice that; gamma_k for gamma_(k-1) covers the rounding of sum |x|."""
+    ku = np.bincount(seg, minlength=n_seg)[:, None] * 2.0 ** -53
+    return 2.0 * ku / (1.0 - ku) * row_segment_sum(np.abs(rows), seg, n_seg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_layouts())
+def test_segment_sum_is_close_to_the_row_order_sum(layout):
+    rows, seg, n_seg = layout
+    got = _sums(rows, seg, n_seg)
+    want = row_segment_sum(rows, seg, n_seg)
+    assert np.all(np.abs(got - want) <= _row_order_bound(rows, seg, n_seg))
 
 
 @st.composite

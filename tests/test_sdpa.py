@@ -200,6 +200,18 @@ def test_any_text_parses_and_round_trips_or_raises_typed_error(text):
     assert inst.A == again.A
 
 
+HUGE_BLOCKS = ["1\n1\n99999999999999999999\n1.0\n1 1 1 1 1.0\n",
+               "1\n1\n3000000000\n1.0\n1 1 1 1 1.0\n",
+               "1\n2\n9223372036854775807 9223372036854775807\n1.0\n1 1 1 1 1.0\n"]
+
+
+@pytest.mark.parametrize("text", HUGE_BLOCKS)
+def test_block_sizes_too_large_to_allocate_are_a_parse_error(text):
+    with pytest.raises(SdpaParseError, match="too large") as err:
+        read_sdpa(text)
+    assert err.value.line_no == 3
+
+
 def test_negative_block_rejected():
     with pytest.raises(UnsupportedFormatError):
         read_sdpa("1\n1\n-3\n1.0\n")

@@ -1,6 +1,8 @@
-"""Static checks over the source tree."""
+"""Checks over the source tree and the pytest settings."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +75,28 @@ def test_every_defaulted_parameter_is_passed_by_some_call():
                            for callee, npos, kws in calls):
                     unused.append(f"{qualname}({param})")
     assert not unused, f"defaulted parameters no call passes: {unused}"
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+'''
+
+
+def test_failing_property_test_fails_alone(tmp_path):
+    # without its ignore entry in pyproject.toml, the warning filters turn a
+    # failing @given test into an internal error that ends the session (exit 3)
+    (tmp_path / "test_property.py").write_text(FAILING_PROPERTY)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path),
+         str(tmp_path / "test_property.py")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed" in proc.stdout and "INTERNALERROR" not in proc.stdout
