@@ -21,7 +21,7 @@ from . import verify
 from .colors import Algo, RoundBudgetError, run_to_stable
 from .core import SdpxlabError, SolutionTriple
 from .nn import Arch, decode, forward
-from .pdhg import PdhgConfig, solve, solve_continuation
+from .pdhg import PdhgConfig, continuation_outcome, solve, solve_continuation
 from .relaxations import (
     er_graph,
     lmi_sdp,
@@ -144,8 +144,8 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _solution_payload(triple: SolutionTriple, stats) -> dict:
-    payload = stats.to_json_dict()
+def _solution_payload(triple: SolutionTriple, stats, extra: dict) -> dict:
+    payload = stats.to_json_dict() | extra
     payload["X"] = triple.X.tolist()
     payload["y"] = triple.y.tolist()
     return payload
@@ -184,21 +184,26 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         raise SystemExit2(str(exc)) from None
     inst = _read_instance(args.file)
+    extra = {}
     if not args.warm_start and args.eps is None:
         triple, stages = solve_continuation(inst, cfg)
-        # the last stage's residuals and weight, totals over every stage
+        reason, failed = continuation_outcome(stages)
+        # the last stage's residuals and weight, totals over every stage,
+        # and the reason of the first stage that did not converge
         stats = replace(stages[-1], iterations=sum(s.iterations for s in stages),
-                        converged=all(s.converged for s in stages),
-                        restarts=sum(s.restarts for s in stages))
+                        reason=reason, restarts=sum(s.restarts for s in stages))
+        if failed is not None:
+            extra["failed_stage"] = failed
     else:
         X0, y0, omega = (_read_warm_start(args.warm_start, inst) if args.warm_start
                          else (None, None, 1.0))
         triple, stats = solve(inst, cfg, X0=X0, y0=y0, omega=omega)
     _kv(event="solve", file=args.file, iterations=stats.iterations,
-        converged=str(stats.converged).lower(), restarts=stats.restarts,
-        omega=f"{stats.omega:.6g}", objective=f"{stats.objective:.12g}",
+        converged=str(stats.converged).lower(), reason=stats.reason, **extra,
+        restarts=stats.restarts, omega=f"{stats.omega:.6g}",
+        objective=f"{stats.objective:.12g}",
         primal=f"{stats.primal_res:.3e}", dual=f"{stats.dual_res:.3e}")
-    _write_json(args.json_out, _solution_payload(triple, stats))
+    _write_json(args.json_out, _solution_payload(triple, stats, extra))
     return 0 if stats.converged else NOT_CONVERGED
 
 

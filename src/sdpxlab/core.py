@@ -196,21 +196,27 @@ def matrices_from_table(n: int, m: int, k, rows, cols, vals) -> tuple[SparseSymM
 
 
 class IntView(NamedTuple):
-    """Integer form of an instance, read by color refinement and by the
-    forward passes (``adj`` and the entry groups of their segment sums).
+    """Quantized form of an instance, read by color refinement and by the
+    forward passes (``adj``, the quantized values and the entry groups of
+    their segment sums).
 
     ``C`` (n, n), ``A`` (per ``coo`` entry) and ``b`` (m,) hold ids of
-    quantized values, equal iff the values quantize equal; ``adj`` marks
-    the C_ij that quantize to nonzero.  ``by_cell`` and ``by_con`` group
-    the ``coo`` entries of each cell and of each constraint by their
-    count: ``(members, entries)``, row r of ``entries`` holding the
-    positions of the entries of segment ``members[r]``.
+    quantized values, equal iff the values quantize equal; ``qC``, ``qA``
+    and ``qb`` hold the quantized value of each id, so ``qC[C]`` is
+    ``quantize_array(C)``.  ``adj`` marks the C_ij that quantize to
+    nonzero.  ``by_cell`` and ``by_con`` group the ``coo`` entries of
+    each cell and of each constraint by their count: ``(members,
+    entries)``, row r of ``entries`` holding the positions of the entries
+    of segment ``members[r]``.
     """
 
     C: np.ndarray
     adj: np.ndarray
     A: np.ndarray
     b: np.ndarray
+    qC: np.ndarray
+    qA: np.ndarray
+    qb: np.ndarray
     by_cell: tuple
     by_con: tuple
 
@@ -224,12 +230,13 @@ def quantize_array(x) -> np.ndarray:
     return q[inv.reshape(-1)].reshape(arr.shape)
 
 
-def _quantized_ids(x) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the quantized elements of ``x``, ordered like their
-    ``quantize_key``, and whether each is nonzero."""
+def _quantized(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The quantized value of each id, the ids of the quantized elements
+    of ``x`` ordered like their ``quantize_key``, and whether each
+    element is nonzero."""
     keys = quantize_array(x).view(np.int64)  # the bit patterns of quantize_key
-    ids = np.unique(keys, return_inverse=True)[1].reshape(keys.shape)
-    return ids, keys != ZERO_KEY
+    uniq, ids = np.unique(keys, return_inverse=True)
+    return uniq.view(np.float64), ids.reshape(keys.shape), keys != ZERO_KEY
 
 
 def _segment_groups(seg: np.ndarray, size: int, order: np.ndarray) -> tuple:
@@ -320,14 +327,17 @@ class SdpInstance:
 
     @cached_property
     def int_view(self) -> IntView:
-        """The quantized ids and entry groups of ``IntView``, built once
-        per instance."""
+        """The quantized values, ids and entry groups of ``IntView``,
+        built once per instance."""
         k, cell, val = self.coo
+        qC, C, adj = _quantized(self.C)
+        qA, A, _ = _quantized(val)
+        qb, b, _ = _quantized(self.b)
         out = IntView(
-            *_quantized_ids(self.C), A=_quantized_ids(val)[0], b=_quantized_ids(self.b)[0],
+            C=C, adj=adj, A=A, b=b, qC=qC, qA=qA, qb=qb,
             by_cell=_segment_groups(cell, self.n * self.n, np.argsort(cell, kind="stable")),
             by_con=_segment_groups(k, self.m, np.arange(len(k))))
-        for a in out[:4]:
+        for a in (C, adj, A, b, qC, qA, qb):
             a.flags.writeable = False
         return out
 

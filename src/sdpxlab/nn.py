@@ -44,7 +44,6 @@ from .core import (
     SdpInstance,
     ShapeError,
     order_keys,
-    quantize_array,
     symmetrize,
 )
 
@@ -305,23 +304,22 @@ def init_embeddings(inst: SdpInstance, params: ArchParams) -> EmbeddingState:
     embedding of b_k through the two-layer encoders of ``params``, which
     are the first draws of every architecture's weight stream."""
     init_v, init_c, d = params.init_v, params.init_c, params.d
-    n = inst.n
+    n, view = inst.n, inst.int_view
     feats = np.zeros((n, n, 2))
-    feats[:, :, 0] = quantize_array(inst.C)
+    feats[:, :, 0] = view.qC[view.C]
     feats[:, :, 1] = np.eye(n)
     var = init_v(feats)
-    con = init_c(quantize_array(inst.b).reshape(-1, 1)) if inst.m else np.zeros((0, d))
+    con = init_c(view.qb[view.b].reshape(-1, 1)) if inst.m else np.zeros((0, d))
     return EmbeddingState(var=var, con=con, layer=0)
 
 
 def _neighbor_messages(inst, H, hc, lp, d):
     """Messages along the ``coo`` entries, to cells and to constraints."""
-    n = inst.n
-    k, cell, val = inst.coo
-    q = quantize_array(val)[:, None]
+    n, view = inst.n, inst.int_view
+    k, cell, _ = inst.coo
+    q = view.qA[view.A][:, None]
     to_cell = lp["msg_cv"](np.concatenate([q, hc[k]], axis=1))
     to_con = lp["msg_vc"](np.concatenate([q, H.reshape(n * n, d)[cell]], axis=1))
-    view = inst.int_view
     return (_segment_sum(to_cell, view.by_cell).reshape(n, n, d),
             _segment_sum(to_con, view.by_con))
 

@@ -20,7 +20,10 @@ projection; the dual residual of the stopping test needs only the
 eigenvalues of the slack.  ``solve(inst, cfg, X0=, y0=, omega=)``
 warm-starts from a given primal/dual pair and primal weight.
 Minimum-Frobenius-norm solutions are obtained by warm-started continuation
-over a shrinking regularization ladder.
+over the shrinking regularization ladder eps = 1e-2, 1e-4, 1e-6.  Each
+ladder stage stops at its own eps (``stage_tol``: tolerances 1e-2, 1e-4
+and 1e-6 at the default tol), and an unregularized polish stage then
+stops on full KKT residuals at tol (1e-6).
 """
 
 from __future__ import annotations
@@ -49,6 +52,16 @@ RHO = 0.9  # fraction of the step-size stability bound a*b*lambda_max < 1 in use
 RESTART_DECAY = 0.2  # restart once the fixed-point residual falls to this fraction
 LAMBDA_TOL = 1e-6  # relative change that stops the power iteration for lambda_max
 LAMBDA_MAX_ITERS = 5000  # power-iteration steps per random start
+
+
+def stage_tol(eps: float, tol: float) -> float:
+    """Stopping tolerance of the continuation stage at regularization
+    ``eps`` when the final tolerance is ``tol``.
+
+    A stage's optimum lies O(eps) from the next stage's, so residuals
+    below eps buy nothing the next stage keeps; never below ``tol``.
+    """
+    return max(tol, eps)
 
 
 @dataclass(frozen=True)
@@ -87,8 +100,11 @@ class PdhgState:
 
 @dataclass
 class PdhgStats:
+    """Outcome of one ``solve``.  ``reason`` says why it stopped:
+    ``"converged"`` or ``"max_iters"`` (divergence raises instead)."""
+
     iterations: int
-    converged: bool
+    reason: str
     primal_res: float
     dual_res: float
     step_res: float
@@ -96,10 +112,15 @@ class PdhgStats:
     restarts: int
     omega: float
 
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
+
     def to_json_dict(self) -> dict:
         return {
             "iterations": self.iterations,
             "converged": self.converged,
+            "reason": self.reason,
             "residuals": {"primal": self.primal_res, "dual": self.dual_res,
                           "step": self.step_res},
             "objective": self.objective,
@@ -244,8 +265,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
 
     ``X0``, ``y0`` and the primal weight ``omega`` warm-start
     ``iterates``; the stats report its restarts and final weight.  On
-    iteration exhaustion the last iterate is returned with
-    ``converged=False`` (no exception).  The dual residual is the distance
+    iteration exhaustion the last iterate is returned with reason
+    ``"max_iters"`` (no exception).  The dual residual is the distance
     of the slack S = C + eps*X + A*(y) from the PSD cone.  ``kkt_stop``
     additionally requires the complementarity gap |<X, S>| <= tol, used by
     the final, unregularized continuation stage.
@@ -269,7 +290,8 @@ def solve(inst: SdpInstance, cfg: PdhgConfig | None = None,
     if not converged:  # the final state's, not that of an earlier step
         dual, _ = _dual_and_gap(state.X, inst.C + cfg.eps * state.X + state.Aty)
     stats = PdhgStats(
-        iterations=state.t, converged=converged, primal_res=state.primal_res,
+        iterations=state.t, reason="converged" if converged else "max_iters",
+        primal_res=state.primal_res,
         dual_res=dual, step_res=state.step_res,
         objective=objective(inst, state.X), restarts=state.restarts,
         omega=state.omega)
@@ -283,10 +305,12 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
     ``EPS_LADDER``, then a polish stage.
 
     The ladder stages pull the iterate toward the minimum-Frobenius-norm
-    optimum; the final polish stage re-solves without regularization and
-    stops on full KKT residuals, removing the regularization bias from
-    the dual and the complementarity gap.  Each stage starts from the
-    previous stage's (X, y) and final primal weight.
+    optimum, each solved to ``stage_tol(eps, cfg.tol)``: 1e-2, 1e-4 and
+    1e-6 at the default tol of 1e-6.  The final polish stage re-solves
+    without regularization and stops on full KKT residuals at ``cfg.tol``
+    (1e-6), removing the regularization bias from the dual and the
+    complementarity gap.  Each stage starts from the previous stage's
+    (X, y) and final primal weight.
     """
     cfg = cfg or PdhgConfig()
     X = y = None
@@ -294,9 +318,7 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
     all_stats: list[PdhgStats] = []
     stages = [(e, False) for e in EPS_LADDER] + [(0.0, True)]
     for idx, (eps, is_polish) in enumerate(stages):
-        # a heavily regularized stage sits O(eps) away from the next
-        # stage's optimum, so solving it beyond eps/100 is wasted work
-        stage_cfg = replace(cfg, eps=eps, tol=max(cfg.tol, eps * 1e-2))
+        stage_cfg = replace(cfg, eps=eps, tol=stage_tol(eps, cfg.tol))
         try:
             triple, stats = solve(inst, stage_cfg, X0=X, y0=y, omega=omega,
                                   kkt_stop=is_polish)
@@ -305,6 +327,15 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
         X, y, omega = triple.X, triple.y, stats.omega
         all_stats.append(stats)
     return triple, all_stats
+
+
+def continuation_outcome(stages: list[PdhgStats]) -> tuple[str, int | None]:
+    """Why a continuation stopped: ``("converged", None)``, or the reason
+    and index of its first stage that did not converge."""
+    for idx, stats in enumerate(stages):
+        if not stats.converged:
+            return stats.reason, idx
+    return "converged", None
 
 
 def min_norm_solution(inst: SdpInstance) -> np.ndarray:

@@ -24,10 +24,12 @@ def test_gen_then_solve_end_to_end(tmp_path, capsys):
     sol = tmp_path / "sol.json"
     code, out, _ = run(["solve", str(path), "--json", str(sol)], capsys)
     assert code == 0
-    assert "converged=true" in out and "restarts=" in out and "omega=" in out
+    assert "converged=true reason=converged restarts=" in out and "omega=" in out
+    assert "failed_stage" not in out
     payload = json.loads(sol.read_text())
     assert set(payload) >= {"X", "y", "objective", "residuals", "iterations",
-                            "converged"}
+                            "converged", "reason"}
+    assert payload["reason"] == "converged" and "failed_stage" not in payload
     assert len(payload["X"]) == 4
 
 
@@ -47,8 +49,24 @@ def test_solve_not_converged_exits_1_with_output(tmp_path, capsys, extra):
     assert int(fields["restarts"]) >= 0 and float(fields["omega"]) > 0
     payload = json.loads(sol.read_text())
     assert payload["converged"] is False
+    assert fields["reason"] == payload["reason"] == "max_iters"
     assert payload["iterations"] == int(fields["iterations"])
     assert {"restarts", "omega"} <= set(payload) and len(payload["X"]) == 6
+
+
+def test_solve_names_the_first_stage_that_hit_the_cap(tmp_path, capsys):
+    # stage 0 (tol 1e-2) converges in 19 iterations, stage 1 needs 30
+    path = tmp_path / "t.dat-s"
+    run(["gen", "--problem", "maxcut", "--n", "5", "--p", "0.5",
+         "--seed", "3", "-o", str(path)], capsys)
+    sol = tmp_path / "sol.json"
+    code, out, _ = run(["solve", str(path), "--max-iters", "20", "--json", str(sol)],
+                       capsys)
+    assert code == 1
+    fields = dict(kv.split("=", 1) for kv in out.split())
+    assert (fields["reason"], fields["failed_stage"]) == ("max_iters", "1")
+    payload = json.loads(sol.read_text())
+    assert (payload["reason"], payload["failed_stage"]) == ("max_iters", 1)
 
 
 def test_solve_warm_start_round_trip(tmp_path, capsys):

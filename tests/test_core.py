@@ -122,10 +122,15 @@ def test_int_view_ids_rank_the_quantize_keys():
                         b=[-0.0])
     for inst in operator_instances() + [noisy]:
         view = inst.int_view
-        for ids, x in ((view.C, inst.C), (view.A, inst.coo[2]), (view.b, inst.b)):
+        for ids, q, x in ((view.C, view.qC, inst.C), (view.A, view.qA, inst.coo[2]),
+                          (view.b, view.qb, inst.b)):
             keys = [quantize_key(v) for v in x.reshape(-1).tolist()]
             rank = {k: r for r, k in enumerate(sorted(set(keys)))}
             assert ids.reshape(-1).tolist() == [rank[k] for k in keys]
+            # the quantized value of each id, bit for bit
+            assert q[ids].shape == x.shape
+            assert q[ids].view(np.int64).reshape(-1).tolist() == keys
+            assert not (ids.flags.writeable or q.flags.writeable)
         assert view.adj.reshape(-1).tolist() == [
             quantize_key(v) != ZERO_KEY for v in inst.C.reshape(-1).tolist()]
 

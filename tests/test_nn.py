@@ -310,6 +310,21 @@ def test_quantized_equals_per_value_quantization():
                                           _nn_quantized(x).view(np.uint64))
 
 
+def test_forward_passes_quantize_nothing(monkeypatch):
+    # int_view quantizes C, the coo values and b once per instance; every
+    # forward pass and layer reads those values
+    import sdpxlab.core as core_mod
+
+    calls = []
+    quantize = core_mod.quantize_array
+    monkeypatch.setattr(core_mod, "quantize_array", lambda x: calls.append(x) or quantize(x))
+    inst = maxcut_sdp(er_graph(8, 0.5, 1))
+    for arch in Arch:
+        forward(arch, inst, D, 3, 0)
+        forward(arch, inst, D, 3, 1)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("arch", list(Arch))
 def test_layers_match_the_per_cell_oracle(arch):
     for inst in (operator_instances() + sample_instances(3, 2)

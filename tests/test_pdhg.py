@@ -29,6 +29,7 @@ from sdpxlab.pdhg import (
     project_psd,
     solve,
     solve_continuation,
+    stage_tol,
 )
 from sdpxlab.relaxations import er_graph, maxcut_sdp
 from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance, sample_instances
@@ -341,7 +342,7 @@ def test_continuation_matches_reference_loop():
         omega = 1.0
         for stats, (eps, polish) in zip(stages, ladder):
             X, y, iters, converged, restarts, omega = reference_restarted_solve(
-                inst, eps, tol=max(1e-6, eps * 1e-2), X0=X, y0=y, omega=omega,
+                inst, eps, tol=stage_tol(eps, PdhgConfig.tol), X0=X, y0=y, omega=omega,
                 kkt_stop=polish)
             assert (stats.iterations, stats.converged) == (iters, converged)
             assert (stats.restarts, stats.omega) == (restarts, omega)
@@ -425,7 +426,7 @@ def test_unbounded_instance_reports_not_converged():
                        A=(SparseSymMatrix.from_coords(2, [(0, 0, 1.0)]),),
                        b=[1.0])
     triple, stats = solve(inst, PdhgConfig(max_iters=500))
-    assert not stats.converged
+    assert not stats.converged and stats.reason == "max_iters"
 
 
 def test_config_validation():

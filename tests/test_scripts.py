@@ -20,3 +20,17 @@ def test_expressivity_sweep_smoke(capsys):
     assert len(rows) == 30
     assert len({(r["generator"], r["algo"]) for r in rows}) == 30
     assert all(0.0 < float(r["mean_class_fraction"]) <= 1.0 for r in rows)
+
+
+def test_convergence_sweep_n12_slice_converges(capsys):
+    code = _load("convergence_sweep").main((12,))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    rows = [dict(kv.split("=", 1) for kv in line.split()) for line in lines]
+    # five families times three graph seeds, then the total line
+    assert len(rows) == 16
+    assert {(r["family"], r["seed"]) for r in rows[:-1]} == {
+        (f, s) for f in ("maxcut", "max2sat", "mis", "clique", "vc") for s in "012"}
+    assert [r for r in rows[:-1] if r["reason"] != "converged"] == []
+    assert all(len(r["stage_iters"].split(",")) == 4 for r in rows[:-1])
+    assert (rows[-1]["instances"], rows[-1]["converged"]) == ("15", "15")
