@@ -7,17 +7,18 @@ describing
     minimize    <C, X>
     subject to  <A_k, X> = b_k,  k = 1..m,   X symmetric PSD.
 
-Constraint matrices are kept sparse (coordinate form, upper triangle) and
-read only through one cached flat COO form, ``SdpInstance.coo``; there is
-no dense (m, n, n) tensor.  The objective is dense.  All values are
-float64 and immutable after construction.
+Constraint matrices are stored as one sparse entry table (upper-triangle
+coordinates, ``SdpInstance.table``) and read through one cached flat COO
+form, ``SdpInstance.coo``; there is no dense (m, n, n) tensor.  The
+objective is dense.  All values are float64 and immutable after
+construction.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -168,31 +169,13 @@ class SparseSymMatrix:
 
 def entry_table(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Parallel arrays (constraint id, row, column, value) of the stored
-    entries of the matrices ``A``, in order; the inverse of
-    ``matrices_from_table``."""
+    entries of the matrices ``A``, in order: the ``SdpInstance.table`` of
+    constraints ``A``."""
     k = np.repeat(np.arange(len(A)), np.array([len(a.vals) for a in A], dtype=np.int64))
     rows = np.concatenate([np.zeros(0, np.int64), *(a.rows for a in A)])
     cols = np.concatenate([np.zeros(0, np.int64), *(a.cols for a in A)])
     vals = np.concatenate([np.zeros(0), *(a.vals for a in A)])
     return k, rows, cols, vals
-
-
-def matrices_from_table(n: int, m: int, k, rows, cols, vals) -> tuple[SparseSymMatrix, ...]:
-    """Constraint matrices 0..m-1 from one entry table.
-
-    ``k``, ``rows``, ``cols`` and ``vals`` are parallel arrays of constraint
-    id, row, column and finite value, sorted by (k, row, col), with row <= col
-    and no (k, row, col) twice: what ``from_coords`` checks per matrix, the
-    caller guarantees for the whole table.  Values that quantize to zero are
-    dropped, and each matrix holds read-only slices of the table that is left.
-    """
-    keep = quantize_array(vals) != 0.0
-    k, rows, cols, vals = k[keep], rows[keep], cols[keep], vals[keep]
-    for a in (rows, cols, vals):
-        a.flags.writeable = False
-    ends = np.searchsorted(k, np.arange(m + 1)).tolist()
-    return tuple(SparseSymMatrix(n=n, rows=rows[s:e], cols=cols[s:e], vals=vals[s:e])
-                 for s, e in zip(ends, ends[1:]))
 
 
 class IntView(NamedTuple):
@@ -270,47 +253,58 @@ def order_keys(table: np.ndarray) -> np.ndarray:
     return bits.view(np.dtype((np.void, 8 * width))).reshape(rows)
 
 
-@dataclass(eq=False)
 class SdpInstance:
     """One linear SDP: dense symmetric C, sparse constraint matrices, rhs b.
 
-    ``metadata`` carries provenance of generated instances (problem family,
-    dropped additive constant and sign so objectives map back to the
-    CO-scale value).
+    The constraints are stored once, as the read-only entry table ``table``
+    = (k, i, j, v) sorted by (k, i, j), with i <= j, no (k, i, j) twice and
+    no value that quantizes to zero: built from matrices ``A`` on side n,
+    or passed in as ``sdpa.read_sdpa`` and ``permute_instance`` build it.
+    ``A`` reads back as read-only ``SparseSymMatrix`` views of the table,
+    built on first read.  ``metadata`` carries the provenance of generated
+    instances (problem family, dropped additive constant and sign so
+    objectives map back to the CO-scale value).
     """
 
-    n: int
-    C: np.ndarray
-    A: tuple[SparseSymMatrix, ...]
-    b: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.C = symmetrize(self.C)
-        if self.C.shape[0] != self.n:
-            raise ShapeError(f"C has side {self.C.shape[0]}, expected {self.n}")
-        self.A = tuple(self.A)
-        for k, ak in enumerate(self.A):
-            if ak.n != self.n:
-                raise ShapeError(f"A[{k}] has side {ak.n}, expected {self.n}")
-        self.b = np.asarray(self.b, dtype=np.float64).reshape(-1)
-        if len(self.b) != len(self.A):
-            raise ShapeError(f"|b|={len(self.b)} but m={len(self.A)}")
+    def __init__(self, n: int, C, A=None, *, b, metadata=None, table=None):
+        self.n = n
+        self.C = symmetrize(C)
+        if self.C.shape[0] != n:
+            raise ShapeError(f"C has side {self.C.shape[0]}, expected {n}")
+        self.b = np.asarray(b, dtype=np.float64).reshape(-1)
+        if table is None:
+            A = tuple(A)
+            for k, ak in enumerate(A):
+                if ak.n != n:
+                    raise ShapeError(f"A[{k}] has side {ak.n}, expected {n}")
+            if len(self.b) != len(A):
+                raise ShapeError(f"|b|={len(self.b)} but m={len(A)}")
+            table = entry_table(A)
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.b))):
             raise NonFiniteError("C and b must be finite")
-        self.C.flags.writeable = False
-        self.b.flags.writeable = False
+        self.table = tuple(table)
+        self.metadata = {} if metadata is None else metadata
+        for a in (self.C, self.b, *self.table):
+            a.flags.writeable = False
 
     @property
     def m(self) -> int:
-        return len(self.A)
+        return len(self.b)
+
+    @cached_property
+    def A(self) -> tuple[SparseSymMatrix, ...]:
+        """One read-only ``SparseSymMatrix`` view of ``table`` per constraint."""
+        k, rows, cols, vals = self.table
+        ends = np.searchsorted(k, np.arange(self.m + 1)).tolist()
+        return tuple(SparseSymMatrix(n=self.n, rows=rows[s:e], cols=cols[s:e], vals=vals[s:e])
+                     for s, e in zip(ends, ends[1:]))
 
     @cached_property
     def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only parallel arrays (k, cell = i*n + j, val) of every entry,
         both triangles expanded, sorted by constraint id, then by cell."""
         n = self.n
-        k, i, j, v = entry_table(self.A)
+        k, i, j, v = self.table
         off = i != j
         k = np.concatenate([k, k[off]])
         cell = np.concatenate([i * n + j, j[off] * n + i[off]])
@@ -362,7 +356,7 @@ class SdpInstance:
             return NotImplemented
         return (self.n == other.n and self.m == other.m
                 and np.array_equal(self.C, other.C)
-                and all(a == b for a, b in zip(self.A, other.A))
+                and all(np.array_equal(a, b) for a, b in zip(self.table, other.table))
                 and np.array_equal(self.b, other.b)
                 and self.metadata == other.metadata)
 
@@ -454,13 +448,12 @@ def permute_instance(inst: SdpInstance, perm) -> SdpInstance:
         raise ShapeError("not a permutation of range(n)")
     C = np.zeros_like(inst.C)
     C[np.ix_(perm, perm)] = inst.C
-    k, i, j, v = entry_table(inst.A)
+    k, i, j, v = inst.table
     p = np.array(perm, dtype=np.int64)
     i, j = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
     order = np.lexsort((j, i, k))
-    A = matrices_from_table(inst.n, inst.m, k[order], i[order], j[order], v[order])
-    return SdpInstance(n=inst.n, C=C, A=A, b=inst.b.copy(),
-                       metadata=dict(inst.metadata))
+    return SdpInstance(n=inst.n, C=C, b=inst.b.copy(), metadata=dict(inst.metadata),
+                       table=(k[order], i[order], j[order], v[order]))
 
 
 def reorder_constraints(inst: SdpInstance, perm) -> SdpInstance:
@@ -468,9 +461,11 @@ def reorder_constraints(inst: SdpInstance, perm) -> SdpInstance:
     perm = list(perm)
     if sorted(perm) != list(range(inst.m)):
         raise ShapeError("not a permutation of range(m)")
-    old = np.argsort(perm)  # old[p] is the constraint moved to position p
-    return SdpInstance(n=inst.n, C=inst.C.copy(), A=tuple(inst.A[k] for k in old),
-                       b=inst.b[old], metadata=dict(inst.metadata))
+    k = np.array(perm, dtype=np.int64)[inst.table[0]]
+    order = np.argsort(k, kind="stable")  # keeps each constraint's (i, j) order
+    return SdpInstance(n=inst.n, C=inst.C.copy(), b=inst.b[np.argsort(perm)],
+                       metadata=dict(inst.metadata),
+                       table=(k[order], *(a[order] for a in inst.table[1:])))
 
 
 def neighbor_lists(inst: SdpInstance):

@@ -23,7 +23,8 @@ Minimum-Frobenius-norm solutions are obtained by warm-started continuation
 over the shrinking regularization ladder eps = 1e-2, 1e-4, 1e-6.  Each
 ladder stage stops at its own eps (``stage_tol``: tolerances 1e-2, 1e-4
 and 1e-6 at the default tol), and an unregularized polish stage then
-stops on full KKT residuals at tol (1e-6).
+stops on full KKT residuals at tol (1e-6).  A stage that stops at the
+iteration cap ends the continuation.
 """
 
 from __future__ import annotations
@@ -310,7 +311,9 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
     without regularization and stops on full KKT residuals at ``cfg.tol``
     (1e-6), removing the regularization bias from the dual and the
     complementarity gap.  Each stage starts from the previous stage's
-    (X, y) and final primal weight.
+    (X, y) and final primal weight.  The first stage that stops at the
+    iteration cap ends the continuation: its iterate and the stats up to
+    it are returned.
     """
     cfg = cfg or PdhgConfig()
     X = y = None
@@ -326,6 +329,8 @@ def solve_continuation(inst: SdpInstance, cfg: PdhgConfig | None = None
             raise DivergenceError(f"continuation stage {idx} (eps={eps}): {exc}") from exc
         X, y, omega = triple.X, triple.y, stats.omega
         all_stats.append(stats)
+        if not stats.converged:
+            break
     return triple, all_stats
 
 

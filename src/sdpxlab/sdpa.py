@@ -11,22 +11,23 @@ block-diagonal instance.  Without constraints the rhs line is empty, so
 the reader also accepts it left out.  Values are emitted with 17
 significant digits, which round-trips float64 exactly.
 
-The reader parses the entry lines by column: each of the five columns
-goes through one ``map(int, ...)`` or ``map(float, ...)``, the range,
-finiteness and duplicate checks are array masks, and the entries are
-sorted once by (matrix, row, column) into one table whose slices are the
-constraint matrices.  A malformed file raises ``SdpaParseError`` for the
-first bad line in file order: once a mask or a column parse fails, the
-lines up to the first flagged one are checked again one at a time to name
-the fault.  Block sizes whose total n would make the n x n objective
-larger than the address space are a parse error of their line, raised
-before anything is allocated.  An all-zero constraint warns at the
-caller of ``read_sdpa``.
+numpy's C text reader parses the entry lines into one record per line;
+the range, finiteness and duplicate checks are array masks, and the
+entries are sorted once by (matrix, row, column) into the instance's
+entry table.  A token numpy rejects but Python's ``int``/``float`` read
+(``1_0``, non-ASCII digits) sends the file through a parse of one line
+at a time, which accepts what Python accepts.  A malformed file raises
+``SdpaParseError`` for the first bad line in file order: once a mask
+fails, the lines up to the first flagged one are checked again one at a
+time to name the fault.  Block sizes whose n x n objective would not fit
+in physical memory are a parse error of their line, raised before
+anything is allocated.  An all-zero constraint warns at the caller.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from itertools import compress
 
@@ -36,11 +37,12 @@ from .core import (
     SdpaParseError,
     SdpInstance,
     UnsupportedFormatError,
-    entry_table,
-    matrices_from_table,
+    quantize_array,
     symmetrize,
 )
 
+_ENTRY = np.dtype([("k", np.int64), ("blk", np.int64), ("i", np.int64), ("j", np.int64),
+                   ("v", np.float64)])
 _HEADER_JUNK = str.maketrans({c: " " for c in "{}(),;"})
 
 
@@ -72,11 +74,12 @@ def _parse_first_int(no, ln, what):
     return _parse_int(no, toks[0], what)
 
 
-def _raise_first_bad_entry(nos, body, m: int, sizes: list[int], offsets: np.ndarray):
-    """Check the entry lines ``body`` (line numbers ``nos``) one at a time,
-    in file order, and raise the ``SdpaParseError`` of the first bad one;
-    ``body`` must hold one."""
-    seen = set()
+def _parse_entries(nos, body, m: int, sizes: list[int], offsets: np.ndarray):
+    """Parse and check the entry lines ``body`` (line numbers ``nos``) one
+    at a time, in file order, with Python's ``int`` and ``float``: raise
+    the ``SdpaParseError`` of the first bad line, or return the columns
+    (k, blk, i, j, value) of a body that has none, as ``_ENTRY`` records."""
+    seen, rows = set(), []
     for no, ln in zip(nos, body):
         toks = ln.split()
         if len(toks) != 5:
@@ -85,7 +88,7 @@ def _raise_first_bad_entry(nos, body, m: int, sizes: list[int], offsets: np.ndar
         blk = _parse_int(no, toks[1], "block index")
         i = _parse_int(no, toks[2], "row index")
         j = _parse_int(no, toks[3], "column index")
-        _parse_float(no, toks[4], "value")
+        v = _parse_float(no, toks[4], "value")
         if not (0 <= k <= m):
             raise SdpaParseError(no, f"matrix index {k} out of range 0..{m}")
         if not (1 <= blk <= len(sizes)):
@@ -98,7 +101,8 @@ def _raise_first_bad_entry(nos, body, m: int, sizes: list[int], offsets: np.ndar
         if key in seen:
             raise SdpaParseError(no, f"duplicate entry ({i},{j}) in matrix {k}")
         seen.add(key)
-    raise AssertionError("the entry masks flagged a line that the per-line checks accept")
+        rows.append((k, blk, i, j, v))
+    return np.array(rows, dtype=_ENTRY)
 
 
 def read_sdpa(text: str) -> SdpInstance:
@@ -135,8 +139,9 @@ def read_sdpa(text: str) -> SdpInstance:
         if s == 0:
             raise SdpaParseError(nos[2], "zero block size")
     n = sum(sizes)
-    if n * n * 8 > np.iinfo(np.intp).max:
-        raise SdpaParseError(nos[2], f"total block size {n} too large for an n x n array")
+    if n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise SdpaParseError(nos[2], f"total block size {n} too large for an n x n array "
+                                     "in physical memory")
     offsets = np.concatenate([[0], np.cumsum(sizes)])
 
     toks = _clean_split(lines[3])
@@ -150,26 +155,14 @@ def read_sdpa(text: str) -> SdpInstance:
         for t in toks:  # raises at the first bad value
             _parse_float(nos[3], t, "rhs value")
 
-    # Lines are split one at a time only to count their tokens, and the
-    # columns are read from one split of the whole entry section: a list
-    # per line kept alive would cost more in garbage collection than the
-    # second split does.
     body, nos = lines[4:], nos[4:]
-    L = len(body)
-    miscounted = np.flatnonzero(np.fromiter(map(len, map(str.split, body)), np.int64, L) != 5)
-    if len(miscounted):
-        _raise_first_bad_entry(nos, body[:miscounted[0] + 1], m, sizes, offsets)
-    toks = " ".join(body).split()
-    cols = [toks[c::5] for c in range(5)]
-    del toks
-    try:
-        k, blk, i, j = (np.fromiter(map(int, c), np.int64, L) for c in cols[:4])
-        v = np.fromiter(map(float, cols[4]), np.float64, L)
-    except (ValueError, OverflowError):  # a bad token, or an index beyond int64
-        k = None
-    del cols
-    if k is None:
-        _raise_first_bad_entry(nos, body, m, sizes, offsets)
+    try:  # np.loadtxt warns on no lines
+        entries = np.loadtxt(body, dtype=_ENTRY, comments=None, ndmin=1) if body else None
+    except ValueError:
+        entries = None
+    if entries is None:
+        entries = _parse_entries(nos, body, m, sizes, offsets)
+    k, blk, i, j, v = (entries[c] for c in _ENTRY.names)
 
     blk0 = np.clip(blk, 1, nblocks) - 1
     size = np.array(sizes)[blk0]
@@ -183,7 +176,8 @@ def read_sdpa(text: str) -> SdpInstance:
     again = (k[1:] == k[:-1]) & (gi[1:] == gi[:-1]) & (gj[1:] == gj[:-1])
     bad[order[1:][again]] = True
     if bad.any():
-        _raise_first_bad_entry(nos, body[:int(np.argmax(bad)) + 1], m, sizes, offsets)
+        _parse_entries(nos, body[:int(np.argmax(bad)) + 1], m, sizes, offsets)
+        raise AssertionError("the entry masks flagged a line that the per-line checks accept")
 
     c0 = int(np.searchsorted(k, 1))
     f0 = np.zeros((n, n))
@@ -191,13 +185,13 @@ def read_sdpa(text: str) -> SdpInstance:
     f0[gj[:c0], gi[:c0]] = v[:c0]
     C = symmetrize(-f0)
 
-    A = matrices_from_table(n, m, k[c0:] - 1, gi[c0:], gj[c0:], v[c0:])
-    for kk, ak in enumerate(A, start=1):
-        if len(ak.vals) == 0:
-            warnings.warn(
-                f"linearly dependent constraints: constraint {kk} has no nonzero entries",
-                stacklevel=2)
-    return SdpInstance(n=n, C=C, A=A, b=b)
+    keep = quantize_array(v[c0:]) != 0.0
+    table = (k[c0:][keep] - 1, gi[c0:][keep], gj[c0:][keep], v[c0:][keep])
+    for kk in np.flatnonzero(np.bincount(table[0], minlength=m) == 0).tolist():
+        warnings.warn(
+            f"linearly dependent constraints: constraint {kk + 1} has no nonzero entries",
+            stacklevel=2)
+    return SdpInstance(n=n, C=C, b=b, table=table)
 
 
 def write_sdpa(inst: SdpInstance) -> str:
@@ -211,5 +205,5 @@ def write_sdpa(inst: SdpInstance) -> str:
     out += [f"0 1 {i + 1} {j + 1} {v:.17g}"
             for i, j, v in zip(rows[nz].tolist(), cols[nz].tolist(), vals[nz].tolist())]
     out += [f"{k + 1} 1 {i + 1} {j + 1} {v:.17g}"
-            for k, i, j, v in zip(*(a.tolist() for a in entry_table(inst.A)))]
+            for k, i, j, v in zip(*(a.tolist() for a in inst.table))]
     return "\n".join(out) + "\n"

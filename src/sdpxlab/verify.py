@@ -337,14 +337,20 @@ def case_multiset_encoding_fail() -> CaseReport:
 
 # --- theorem-consequence checks -----------------------------------------
 
-def _class_spread(values: np.ndarray, labels: np.ndarray) -> float:
-    """Largest max - min of ``values`` along axis 0 over the positions
-    sharing a label (0.0 without positions)."""
-    if not len(labels):
-        return 0.0
+def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, starts)``: the positions sorted by label, and where each
+    label's run starts in that order."""
     order = np.argsort(labels, kind="stable")
     ordered = labels[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return order, np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+
+
+def _class_spread(values: np.ndarray, classes) -> float:
+    """Largest max - min of ``values`` along axis 0 over the positions of
+    one class of ``_classes`` (0.0 without positions)."""
+    order, starts = classes
+    if not len(order):
+        return 0.0
     rows = values[order]
     return float(np.max(np.maximum.reduceat(rows, starts)
                         - np.minimum.reduceat(rows, starts)))
@@ -362,12 +368,12 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
     part, _ = run_to_stable(Algo.VC2FWL, inst)
     expected = {"max_relative_spread": _exp(1e-7, "DERIVED")}
     worst = 0.0
-    var_labels = part.var.reshape(-1)
+    var_classes, con_classes = _classes(part.var.reshape(-1)), _classes(part.con)
     for state in islice(iterates(inst, PdhgConfig.eps), iters):
-        for key, values, labels in (("spread", state.X.reshape(-1), var_labels),
-                                    ("y_spread", state.y, part.con)):
+        for key, values, classes in (("spread", state.X.reshape(-1), var_classes),
+                                     ("y_spread", state.y, con_classes)):
             bound = 1e-7 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-            spread = _class_spread(values, labels)
+            spread = _class_spread(values, classes)
             worst = max(worst, spread / bound * 1e-7)
             if spread > bound:
                 return CaseReport(case_id, False,
@@ -384,8 +390,8 @@ def check_scale_lemma(inst: SdpInstance, alphas=(0.5, 2.0, 10.0),
     base = min_norm_solution(inst)
     errors = {}
     for a in alphas:
-        scaled = SdpInstance(n=inst.n, C=inst.C.copy(), A=inst.A,
-                             b=a * inst.b, metadata=dict(inst.metadata))
+        scaled = SdpInstance(n=inst.n, C=inst.C.copy(), b=a * inst.b,
+                             metadata=dict(inst.metadata), table=inst.table)
         Xs = min_norm_solution(scaled)
         target = a * base
         denom = max(float(np.linalg.norm(target)), 1e-12)
@@ -506,8 +512,8 @@ def _respects_coloring(arch: Arch, inst: SdpInstance, states) -> bool:
         if t:
             wl = step(algo, wl, inst)
         if (_class_spread(st.var.reshape(-1, st.var.shape[-1]),
-                          wl.var_colors.reshape(-1)) != 0.0
-                or _class_spread(st.con, wl.con_colors) != 0.0):
+                          _classes(wl.var_colors.reshape(-1))) != 0.0
+                or _class_spread(st.con, _classes(wl.con_colors)) != 0.0):
             return False
     return True
 

@@ -34,7 +34,10 @@ the ``np.lexsort`` interning that the byte-key sort of
 SDPA reader that parsed and checked one entry line at a time and the
 writer that read ``-C`` one cell at a time, which the column-wise reader
 and writer of ``sdpxlab.sdpa`` replaced (``reference_read_sdpa``,
-``reference_write_sdpa``).
+``reference_write_sdpa``), and the per-matrix forms that the entry table
+of ``SdpInstance`` replaced: the matrices sliced from a table and the
+flat COO form built from the matrices (``matrices_from_table``,
+``reference_coo``).
 """
 
 from __future__ import annotations
@@ -400,6 +403,35 @@ def loop_neighbor_lists(inst):
     for lst in con_nbrs:
         lst.sort()
     return tuple(map(tuple, cell_nbrs)), tuple(map(tuple, con_nbrs))
+
+
+def matrices_from_table(n: int, m: int, k, rows, cols, vals):
+    """Constraint matrices 0..m-1 of an entry table sorted by (k, row,
+    col): the values that quantize to zero dropped, each matrix holding
+    read-only slices of the table that is left."""
+    from sdpxlab.core import SparseSymMatrix, quantize_array
+
+    keep = quantize_array(vals) != 0.0
+    k, rows, cols, vals = k[keep], rows[keep], cols[keep], vals[keep]
+    for a in (rows, cols, vals):
+        a.flags.writeable = False
+    ends = np.searchsorted(k, np.arange(m + 1)).tolist()
+    return tuple(SparseSymMatrix(n=n, rows=rows[s:e], cols=cols[s:e], vals=vals[s:e])
+                 for s, e in zip(ends, ends[1:]))
+
+
+def reference_coo(inst):
+    """``SdpInstance.coo`` built from the entries of the matrices ``inst.A``."""
+    from sdpxlab.core import entry_table
+
+    n = inst.n
+    k, i, j, v = entry_table(inst.A)
+    off = i != j
+    k = np.concatenate([k, k[off]])
+    cell = np.concatenate([i * n + j, j[off] * n + i[off]])
+    v = np.concatenate([v, v[off]])
+    order = np.lexsort((cell, k))
+    return k[order], cell[order], v[order]
 
 
 class _View:

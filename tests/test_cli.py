@@ -43,8 +43,9 @@ def test_solve_not_converged_exits_1_with_output(tmp_path, capsys, extra):
                        + extra, capsys)
     assert code == 1
     fields = dict(kv.split("=", 1) for kv in out.split())
-    # the continuation's four stages of 3 iterations are summed
-    assert fields["iterations"] == ("3" if extra else "12")
+    # the continuation stops at its first stage, which hits the cap of 3
+    assert fields["iterations"] == "3"
+    assert fields.get("failed_stage") == (None if extra else "0")
     assert fields["converged"] == "false"
     assert int(fields["restarts"]) >= 0 and float(fields["omega"]) > 0
     payload = json.loads(sol.read_text())

@@ -35,6 +35,7 @@ from sdpxlab.relaxations import (
     regular_graph,
     vertexcover_sdp,
 )
+from sdpxlab.sdpa import read_sdpa, write_sdpa
 from sdpxlab.verify import (
     diag_block_instance,
     incomparability_instance,
@@ -55,6 +56,8 @@ from oracles import (
     loop_objective,
     loop_permute_instance,
     loop_reorder_constraints,
+    matrices_from_table,
+    reference_coo,
 )
 
 prop32 = prop_diag_pair_instance
@@ -313,6 +316,25 @@ def test_constraint_operator_is_small_and_read_only():
     assert sum(a.nbytes for a in inst.coo) < 1e6
     assert not any(a.flags.writeable for a in inst.coo)
     assert not hasattr(SdpInstance, "dense_A")
+
+
+_FAMILIES = {"maxcut": maxcut_sdp, "clique": maxclique_sdp, "mis": mis_sdp,
+             "vc": vertexcover_sdp}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_FAMILIES)), st.integers(1, 12), st.integers(0, 2 ** 16))
+def test_matrix_views_and_coo_match_the_matrix_built_forms(family, n, seed):
+    base = _FAMILIES[family](er_graph(n, 0.5, seed))
+    perm = np.random.default_rng(seed).permutation(base.n).tolist()
+    cons = np.random.default_rng(seed).permutation(base.m).tolist()
+    for inst in (base, read_sdpa(write_sdpa(base)), permute_instance(base, perm),
+                 reorder_constraints(base, cons)):
+        assert not any(a.flags.writeable for a in inst.table)
+        assert inst.A == matrices_from_table(inst.n, inst.m, *inst.table)
+        for got, want in zip(inst.coo, reference_coo(inst)):
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
 
 
 def test_reorder_constraints_matches_loop_oracle():

@@ -22,6 +22,7 @@ from sdpxlab.pdhg import (
     EPS_LADDER,
     RHO,
     PdhgConfig,
+    continuation_outcome,
     iterates,
     kkt_residuals,
     lambda_max_op,
@@ -349,6 +350,23 @@ def test_continuation_matches_reference_loop():
         assert sum(s.restarts for s in stages) >= 1
         np.testing.assert_array_equal(triple.X, X)
         np.testing.assert_array_equal(triple.y, y)
+
+
+def test_capped_continuation_stops_at_the_failed_stage():
+    # stage 0 (tol 1e-2) converges in 19 iterations, stage 1 stops at the cap
+    inst = maxcut_sdp(er_graph(5, 0.5, 3))
+    cfg = PdhgConfig(max_iters=20)
+    triple, stages = solve_continuation(inst, cfg)
+    assert [(s.iterations, s.reason) for s in stages] == [(19, "converged"), (20, "max_iters")]
+    assert continuation_outcome(stages) == ("max_iters", 1)
+    X = y = None
+    omega = 1.0
+    for eps in EPS_LADDER[:2]:
+        stage_cfg = PdhgConfig(eps=eps, tol=stage_tol(eps, cfg.tol), max_iters=20)
+        last, stats = solve(inst, stage_cfg, X0=X, y0=y, omega=omega)
+        X, y, omega = last.X, last.y, stats.omega
+    np.testing.assert_array_equal(triple.X, last.X)
+    np.testing.assert_array_equal(triple.y, last.y)
 
 
 def test_restart_weight_does_not_depend_on_labels():

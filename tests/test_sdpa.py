@@ -1,3 +1,4 @@
+import os
 import warnings
 
 import numpy as np
@@ -11,7 +12,9 @@ from sdpxlab.core import (
     SdpxlabError,
     SparseSymMatrix,
     UnsupportedFormatError,
+    permute_instance,
 )
+from sdpxlab.pdhg import PdhgConfig, solve_continuation
 from sdpxlab.relaxations import (
     er_graph,
     lmi_sdp,
@@ -201,6 +204,7 @@ def test_any_text_parses_and_round_trips_or_raises_typed_error(text):
 
 
 HUGE_BLOCKS = ["1\n1\n99999999999999999999\n1.0\n1 1 1 1 1.0\n",
+               "1\n1\n3000000\n1.0\n1 1 1 1 1.0\n",
                "1\n1\n3000000000\n1.0\n1 1 1 1 1.0\n",
                "1\n2\n9223372036854775807 9223372036854775807\n1.0\n1 1 1 1 1.0\n"]
 
@@ -210,6 +214,15 @@ def test_block_sizes_too_large_to_allocate_are_a_parse_error(text):
     with pytest.raises(SdpaParseError, match="too large") as err:
         read_sdpa(text)
     assert err.value.line_no == 3
+
+
+def test_block_sizes_are_bounded_by_the_physical_memory(monkeypatch):
+    # 4 pages of 8 bytes: a 2 x 2 objective (32 bytes) fits, a 3 x 3 one does not
+    monkeypatch.setattr(os, "sysconf", {"SC_PAGE_SIZE": 8, "SC_PHYS_PAGES": 4}.__getitem__)
+    assert read_sdpa(HAND_FIXTURE).n == 2
+    with pytest.raises(SdpaParseError, match="too large") as err:
+        read_sdpa(HAND_FIXTURE.replace("\n2\n1.0\n", "\n3\n1.0\n"))
+    assert err.value.line_no == 4
 
 
 def test_negative_block_rejected():
@@ -256,8 +269,14 @@ def _generated_sdpa(draw):
 
 
 _VALUES = st.one_of(st.sampled_from(["1", "-1", "0", "-0.0", "1e-13", "-4e-13", "2.5",
-                                     "+3", "1_0", "1E2"]),
+                                     "+3", "1_0", "1E2", ".5", "5.", "-.5e-3", "1_0.5",
+                                     "\u0663.\u0665"]),
                     st.floats(-1e6, 1e6).map(repr))
+# forms of an integer token: the ones numpy's text reader rejects (an
+# underscore, non-ASCII digits, 20 digits) and ones it reads like int
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_INDEX_FORMS = st.sampled_from([str, "+{}".format, "{:020d}".format,
+                                lambda x: "_".join(str(x)), lambda x: str(x).translate(_ARABIC)])
 _FAULTS = st.sampled_from(["k", "blk", "i", "j", "token", "value", "repeat", "count"])
 
 
@@ -288,7 +307,10 @@ def _multiblock_sdpa(draw):
             toks[draw(st.sampled_from(sorted(toks)))] = draw(st.sampled_from(["x", "1.5", "1e999"]))
         elif fault == "value":
             toks["value"] = draw(st.sampled_from(["nan", "-inf", "1e999"]))
-        line = " ".join(str(toks[c]) for c in ("k", "blk", "i", "j", "value"))
+        form = draw(_INDEX_FORMS)
+        line = draw(st.sampled_from([" ", "\t", " \t "])).join(
+            toks[c] if c == "value" or isinstance(toks[c], str) else form(toks[c])
+            for c in ("k", "blk", "i", "j", "value"))
         if fault == "repeat" and len(lines) > 4:
             k, blk, i, j, v = draw(st.sampled_from(lines[4:])).split()[:5]
             line = " ".join([k, blk, *draw(st.permutations([i, j])), draw(_VALUES)])
@@ -302,6 +324,43 @@ def _multiblock_sdpa(draw):
 @given(st.one_of(_mutated_sdpa(), _generated_sdpa(), _multiblock_sdpa()))
 def test_reader_matches_reference_reader(text):
     assert _outcome(read_sdpa, text) == _outcome(reference_read_sdpa, text)
+
+
+@pytest.mark.parametrize("col", range(5))
+@pytest.mark.parametrize("tok", ["1_0", "\u0661", "\uff11", "1" * 20, "0" * 19 + "1", "+1",
+                                 ".5", "5.", "inf", "nan", "1e999", "1_0.5", "-0"])
+def test_token_forms_read_like_int_and_float(tok, col):
+    # ten blocks of side 10, so that 1_0 is a valid index in every column
+    toks = ["2", "3", "4", "5", "1.0"]
+    toks[col] = tok
+    text = "\n".join(["10", "10", " ".join(["10"] * 10), " ".join(["1"] * 10),
+                      "1 1 1 1 2.0", "\t".join(toks), "3 1 2 2 1.0"]) + "\n"
+    assert _outcome(read_sdpa, text) == _outcome(reference_read_sdpa, text)
+
+
+def test_empty_entry_section_reads_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = read_sdpa("0\n1\n{1}\n\n")
+    assert (inst.n, inst.m, inst.A) == (1, 0, ())
+    np.testing.assert_array_equal(inst.C, np.zeros((1, 1)))
+
+
+def test_table_paths_build_no_matrices(monkeypatch):
+    text = write_sdpa(maxclique_sdp(er_graph(8, 0.5, 1)))
+    built = []
+    init = SparseSymMatrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseSymMatrix, "__init__", counted)
+    inst = permute_instance(read_sdpa(text), list(range(8))[::-1])
+    assert read_sdpa(write_sdpa(inst)) == inst
+    solve_continuation(inst, PdhgConfig(max_iters=50))
+    assert built == []
+    assert len(inst.A) == len(built) == inst.m  # the views, built on first read
 
 
 _TWO_BLOCKS = ["2", "2", "2 1", "1.0 2.0", "0 1 1 1 1.0", "1 1 1 2 1.0"]
