@@ -9,14 +9,15 @@ describing
 
 Constraint matrices are stored as one sparse entry table (upper-triangle
 coordinates, ``SdpInstance.table``) and read through one cached flat COO
-form, ``SdpInstance.coo``; there is no dense (m, n, n) tensor.  The
-objective is dense.  All values are float64 and immutable after
-construction.
+form, ``SdpInstance.coo``; there is no dense (m, n, n) tensor.  Tables are
+built from coordinate arrays by ``coords_table``, which checks them;
+``SparseSymMatrix.from_coords`` and ``from_dense`` call it for a single
+matrix.  The objective is dense.  All values are float64 and immutable
+after construction.
 """
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,36 +113,18 @@ class SparseSymMatrix:
 
     @classmethod
     def from_coords(cls, n: int, coords) -> "SparseSymMatrix":
-        if n <= 0:
-            raise ShapeError(f"side length must be positive, got {n}")
-        seen: dict[tuple[int, int], float] = {}
-        for i, j, v in coords:
-            i, j = int(i), int(j)
-            if not (0 <= i < n and 0 <= j < n):
-                raise ShapeError(f"coordinate ({i},{j}) out of range for n={n}")
-            if i > j:
-                i, j = j, i
-            if (i, j) in seen:
-                raise ShapeError(f"duplicate coordinate ({i},{j})")
-            v = float(v)
-            if not math.isfinite(v):
-                raise NonFiniteError(f"non-finite value {v} at ({i},{j})")
-            seen[(i, j)] = v
-        kept = sorted((ij, v) for ij, v in seen.items() if quantize_key(v) != ZERO_KEY)
-        rows = np.array([ij[0] for ij, _ in kept], dtype=np.int64)
-        cols = np.array([ij[1] for ij, _ in kept], dtype=np.int64)
-        vals = np.array([v for _, v in kept], dtype=np.float64)
-        for a in (rows, cols, vals):
-            a.flags.writeable = False
+        """The matrix of the (i, j, value) triples ``coords`` (``coords_table``)."""
+        i, j, v = tuple(zip(*coords)) or ((), (), ())
+        _, rows, cols, vals = coords_table(n, np.zeros(len(v), np.int64), i, j, v)
         return cls(n=n, rows=rows, cols=cols, vals=vals)
 
     @classmethod
     def from_dense(cls, m) -> "SparseSymMatrix":
         arr = symmetrize(m)
         n = arr.shape[0]
-        coords = [(i, j, arr[i, j]) for i in range(n) for j in range(i, n)
-                  if quantize_key(arr[i, j]) != ZERO_KEY]
-        return cls.from_coords(n, coords)
+        i, j = np.triu_indices(n)
+        _, rows, cols, vals = coords_table(n, np.zeros(len(i), np.int64), i, j, arr[i, j])
+        return cls(n=n, rows=rows, cols=cols, vals=vals)
 
     def coords(self):
         return zip(self.rows.tolist(), self.cols.tolist(), self.vals.tolist())
@@ -176,6 +159,48 @@ def entry_table(A) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     cols = np.concatenate([np.zeros(0, np.int64), *(a.cols for a in A)])
     vals = np.concatenate([np.zeros(0), *(a.vals for a in A)])
     return k, rows, cols, vals
+
+
+def lexsort_repeats(*keys) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order sorting the rows of the equal-length key columns
+    ``keys`` (the first most significant), and the mask of the rows that
+    equal an earlier row."""
+    order = np.lexsort(keys[::-1])
+    first, *rest = (a[order] for a in keys)
+    tail = first[1:] == first[:-1]
+    for a in rest:
+        tail = tail & (a[1:] == a[:-1])
+    again = np.zeros(len(order), dtype=bool)
+    again[order[1:]] = tail
+    return order, again
+
+
+def coords_table(n: int, k, i, j, v) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only ``SdpInstance.table`` of the entries (k, i, j, v) of
+    symmetric matrices of side n, in any order: each (i, j) swapped to
+    i <= j, values that quantize to zero dropped, sorted by (k, i, j).  The
+    first bad entry raises: a coordinate outside 0..n-1, else an (i, j) its
+    matrix already holds (``ShapeError``), else a non-finite value."""
+    if n <= 0:
+        raise ShapeError(f"side length must be positive, got {n}")
+    k, i, j = (np.asarray(a, dtype=np.int64).reshape(-1) for a in (k, i, j))
+    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    order, again = lexsort_repeats(k, lo, hi)
+    outside = (lo < 0) | (hi >= n)
+    bad = outside | again | ~np.isfinite(v)
+    if bad.any():
+        e = int(np.argmax(bad))
+        if outside[e]:
+            raise ShapeError(f"coordinate ({i[e]},{j[e]}) out of range for n={n}")
+        if again[e]:
+            raise ShapeError(f"duplicate coordinate ({lo[e]},{hi[e]})")
+        raise NonFiniteError(f"non-finite value {float(v[e])} at ({lo[e]},{hi[e]})")
+    order = order[quantize_array(v[order]) != 0.0]
+    out = (k[order], lo[order], hi[order], v[order])
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 class IntView(NamedTuple):
@@ -258,8 +283,10 @@ class SdpInstance:
 
     The constraints are stored once, as the read-only entry table ``table``
     = (k, i, j, v) sorted by (k, i, j), with i <= j, no (k, i, j) twice and
-    no value that quantizes to zero: built from matrices ``A`` on side n,
-    or passed in as ``sdpa.read_sdpa`` and ``permute_instance`` build it.
+    no value that quantizes to zero, passed in as ``coords_table`` builds it
+    (the generators, ``permute_instance``, ``reorder_constraints``) or as
+    ``sdpa.read_sdpa`` does.  Only hand-built instances (the ``verify``
+    counterexamples and the tests) pass matrices ``A`` on side n instead.
     ``A`` reads back as read-only ``SparseSymMatrix`` views of the table,
     built on first read.  ``metadata`` carries the provenance of generated
     instances (problem family, dropped additive constant and sign so
@@ -267,6 +294,8 @@ class SdpInstance:
     """
 
     def __init__(self, n: int, C, A=None, *, b, metadata=None, table=None):
+        if n < 1:
+            raise ShapeError(f"side length must be positive, got {n}")
         self.n = n
         self.C = symmetrize(C)
         if self.C.shape[0] != n:
@@ -450,10 +479,8 @@ def permute_instance(inst: SdpInstance, perm) -> SdpInstance:
     C[np.ix_(perm, perm)] = inst.C
     k, i, j, v = inst.table
     p = np.array(perm, dtype=np.int64)
-    i, j = np.minimum(p[i], p[j]), np.maximum(p[i], p[j])
-    order = np.lexsort((j, i, k))
     return SdpInstance(n=inst.n, C=C, b=inst.b.copy(), metadata=dict(inst.metadata),
-                       table=(k[order], i[order], j[order], v[order]))
+                       table=coords_table(inst.n, k, p[i], p[j], v))
 
 
 def reorder_constraints(inst: SdpInstance, perm) -> SdpInstance:
@@ -461,11 +488,10 @@ def reorder_constraints(inst: SdpInstance, perm) -> SdpInstance:
     perm = list(perm)
     if sorted(perm) != list(range(inst.m)):
         raise ShapeError("not a permutation of range(m)")
-    k = np.array(perm, dtype=np.int64)[inst.table[0]]
-    order = np.argsort(k, kind="stable")  # keeps each constraint's (i, j) order
+    k, i, j, v = inst.table
     return SdpInstance(n=inst.n, C=inst.C.copy(), b=inst.b[np.argsort(perm)],
                        metadata=dict(inst.metadata),
-                       table=(k[order], *(a[order] for a in inst.table[1:])))
+                       table=coords_table(inst.n, np.array(perm, dtype=np.int64)[k], i, j, v))
 
 
 def neighbor_lists(inst: SdpInstance):
@@ -474,8 +500,8 @@ def neighbor_lists(inst: SdpInstance):
     Returns ``(cell_nbrs, con_nbrs)`` where ``cell_nbrs[i*n+j]`` lists
     ``(k, A_kij)`` over constraints touching cell (i, j), and
     ``con_nbrs[k]`` lists ``(flat_cell, A_kij)`` in row-major cell order.
-    Membership follows the quantized nonzero pattern (enforced at
-    SparseSymMatrix construction).  The lists are built once per instance
+    Membership follows the quantized nonzero pattern (enforced when the
+    entry table is built).  The lists are built once per instance
     and returned as the same read-only tuples on every call.
     """
     return inst._neighbor_lists

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SdpInstance, SdpxlabError, ShapeError, SparseSymMatrix, symmetrize
+from .core import (SdpInstance, SdpxlabError, ShapeError, coords_table, lexsort_repeats,
+                   symmetrize)
 
 PAIRING_RETRIES = 100  # seeds the pairing model tries before giving up
 LMI_MARGIN = 0.1  # stability margin of the recovered system matrix
@@ -28,26 +29,35 @@ class Graph:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
-        seen = set()
-        for u, v, w in self.edges:
-            if u == v:
-                raise ShapeError(f"self-loop at node {u}")
-            if not (0 <= u < v < self.n_nodes):
-                raise ShapeError(f"bad edge ({u},{v}) for {self.n_nodes} nodes")
-            if (u, v) in seen:
-                raise ShapeError(f"duplicate edge ({u},{v})")
-            if not np.isfinite(w):
-                raise ShapeError(f"non-finite weight on edge ({u},{v})")
-            seen.add((u, v))
+        if self.n_nodes < 0:
+            raise ShapeError(f"node count must be >= 0, got {self.n_nodes}")
+        u, v = self.endpoints().T
+        loop, outside = u == v, (u < 0) | (u >= v) | (v >= self.n_nodes)
+        _, again = lexsort_repeats(u, v)
+        bad = loop | outside | again | ~np.isfinite([e[2] for e in self.edges])
+        if bad.any():
+            e = int(np.argmax(bad))
+            if loop[e]:
+                raise ShapeError(f"self-loop at node {u[e]}")
+            if outside[e]:
+                raise ShapeError(f"bad edge ({u[e]},{v[e]}) for {self.n_nodes} nodes")
+            if again[e]:
+                raise ShapeError(f"duplicate edge ({u[e]},{v[e]})")
+            raise ShapeError(f"non-finite weight on edge ({u[e]},{v[e]})")
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def non_edges(self):
-        present = {(u, v) for u, v, _ in self.edges}
-        return [(i, j) for i in range(self.n_nodes) for j in range(i + 1, self.n_nodes)
-                if (i, j) not in present]
+    def endpoints(self) -> np.ndarray:
+        """(n_edges, 2) int64 array of the edges' (u, v), in edge order."""
+        return np.array([e[:2] for e in self.edges], dtype=np.int64).reshape(-1, 2)
+
+    def non_edges(self) -> np.ndarray:
+        """(count, 2) int64 array of the non-edges (i, j), i < j, row-major."""
+        free = np.triu(np.ones((self.n_nodes, self.n_nodes), dtype=bool), 1)
+        free[tuple(self.endpoints().T)] = False
+        return np.argwhere(free)
 
 
 @dataclass(frozen=True)
@@ -69,10 +79,6 @@ class ClauseMatrix:
         object.__setattr__(self, "matrix", arr)
 
     @property
-    def n_clauses(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_vars(self) -> int:
         return self.matrix.shape[1]
 
@@ -82,9 +88,10 @@ def er_graph(n: int, p: float, seed: int) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError(f"edge probability must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    edges = tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)
-                  if rng.random() < p)
-    return Graph(n_nodes=n, edges=edges)
+    i, j = np.triu_indices(n, 1)  # row-major: the order of one draw per pair
+    keep = rng.random(len(i)) < p
+    return Graph(n_nodes=n, edges=tuple((u, v, 1.0) for u, v in
+                                        zip(i[keep].tolist(), j[keep].tolist())))
 
 
 def regular_graph(n: int, d: int, seed: int) -> Graph:
@@ -97,26 +104,12 @@ def regular_graph(n: int, d: int, seed: int) -> Graph:
         rng = np.random.default_rng(seed + attempt)
         stubs = np.repeat(np.arange(n), d)
         rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            e = (min(u, v), max(u, v))
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if ok:
-            return Graph(n_nodes=n, edges=tuple((u, v, 1.0) for u, v in sorted(edges)))
+        pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+        edges = np.unique(pairs[:, 0] * n + pairs[:, 1])  # sorted like (u, v)
+        if len(edges) == len(pairs) and np.all(pairs[:, 0] < pairs[:, 1]):
+            return Graph(n_nodes=n, edges=tuple((u, v, 1.0) for u, v in
+                                                zip(*(a.tolist() for a in np.divmod(edges, n)))))
     raise SdpxlabError(f"pairing model failed after {PAIRING_RETRIES} retries")
-
-
-def _diag_constraints(indices, n) -> list[SparseSymMatrix]:
-    return [SparseSymMatrix.from_coords(n, [(i, i, 1.0)]) for i in indices]
 
 
 def maxcut_sdp(g: Graph) -> SdpInstance:
@@ -128,36 +121,37 @@ def maxcut_sdp(g: Graph) -> SdpInstance:
     C = np.zeros((n, n))
     for u, v, w in g.edges:
         C[u, v] = C[v, u] = w / 4.0
-    A = _diag_constraints(range(n), n)
     total_w = sum(w for _, _, w in g.edges)
-    return SdpInstance(n=n, C=C, A=tuple(A), b=np.ones(n),
+    d = np.arange(n)
+    return SdpInstance(n=n, C=C, b=np.ones(n), table=coords_table(n, d, d, d, np.ones(n)),
                        metadata={"problem": "maxcut", "offset": total_w / 2.0,
                                  "scale": -1.0})
 
 
-def _theta_like(n: int, zero_pairs) -> tuple:
-    C = -np.ones((n, n))
-    A = [SparseSymMatrix.from_coords(n, [(i, i, 1.0) for i in range(n)])]
-    b = [1.0]
-    for i, j in zero_pairs:
-        A.append(SparseSymMatrix.from_coords(n, [(i, j, 1.0)]))
-        b.append(0.0)
-    return C, tuple(A), np.array(b)
+def _theta_like(n: int, zero_pairs: np.ndarray) -> tuple:
+    """(C, table, b): C = -J, trace one, X_ij = 0 on each row of ``zero_pairs``."""
+    d = np.arange(n)
+    k = np.concatenate([np.zeros(n, np.int64), np.arange(1, len(zero_pairs) + 1)])
+    table = coords_table(n, k, np.concatenate([d, zero_pairs[:, 0]]),
+                         np.concatenate([d, zero_pairs[:, 1]]), np.ones(len(k)))
+    b = np.zeros(len(zero_pairs) + 1)
+    b[0] = 1.0
+    return -np.ones((n, n)), table, b
 
 
 def maxclique_sdp(g: Graph) -> SdpInstance:
     """Clique-number relaxation: maximize <J, X>, trace one, X zero on
     non-edges.  The relaxation value is the negated objective."""
-    C, A, b = _theta_like(g.n_nodes, g.non_edges())
-    return SdpInstance(n=g.n_nodes, C=C, A=A, b=b,
+    C, table, b = _theta_like(g.n_nodes, g.non_edges())
+    return SdpInstance(n=g.n_nodes, C=C, b=b, table=table,
                        metadata={"problem": "maxclique", "offset": 0.0, "scale": -1.0})
 
 
 def mis_sdp(g: Graph) -> SdpInstance:
     """Independence-number relaxation: like the clique form but X vanishes
     on edges instead of non-edges."""
-    C, A, b = _theta_like(g.n_nodes, [(u, v) for u, v, _ in g.edges])
-    return SdpInstance(n=g.n_nodes, C=C, A=A, b=b,
+    C, table, b = _theta_like(g.n_nodes, g.endpoints())
+    return SdpInstance(n=g.n_nodes, C=C, b=b, table=table,
                        metadata={"problem": "mis", "offset": 0.0, "scale": -1.0})
 
 
@@ -172,14 +166,15 @@ def vertexcover_sdp(g: Graph) -> SdpInstance:
     C = np.zeros((n, n))
     C[0, 1:] = 0.25
     C[1:, 0] = 0.25
-    A = _diag_constraints(range(n), n)
-    b = [1.0] * n
-    for u, v, _ in g.edges:
-        i, j = u + 1, v + 1
-        A.append(SparseSymMatrix.from_coords(
-            n, [(0, 0, 1.0), (0, i, -0.5), (0, j, -0.5), (i, j, 0.5)]))
-        b.append(0.0)
-    return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
+    i, j = g.endpoints().T + 1
+    zero = np.zeros_like(i)
+    d = np.arange(n)
+    k = np.concatenate([d, np.repeat(n + np.arange(len(i)), 4)])
+    rows = np.concatenate([d, np.stack([zero, zero, zero, i], axis=1).reshape(-1)])
+    cols = np.concatenate([d, np.stack([zero, i, j, j], axis=1).reshape(-1)])
+    vals = np.concatenate([np.ones(n), np.tile([1.0, -0.5, -0.5, 0.5], len(i))])
+    b = np.concatenate([np.ones(n), np.zeros(len(i))])
+    return SdpInstance(n=n, C=C, b=b, table=coords_table(n, k, rows, cols, vals),
                        metadata={"problem": "vertexcover",
                                  "offset": g.n_nodes / 2.0, "scale": 1.0})
 
@@ -201,8 +196,8 @@ def max2sat_sdp(cm: ClauseMatrix) -> SdpInstance:
     C[:nv, nv] = -col_sums
     C[nv, :nv] = -col_sums
     C = symmetrize(C / 8.0)
-    A = _diag_constraints(range(n), n)
-    return SdpInstance(n=n, C=C, A=tuple(A), b=np.ones(n),
+    d = np.arange(n)
+    return SdpInstance(n=n, C=C, b=np.ones(n), table=coords_table(n, d, d, d, np.ones(n)),
                        metadata={"problem": "max2sat",
                                  "offset": float(np.trace(G)) / 8.0, "scale": 1.0})
 
@@ -229,6 +224,8 @@ def lmi_sdp(n: int, m: int, seed: int) -> SdpInstance:
     matrix inequality into scalar constraints satisfied exactly by P.  A
     trace constraint is appended last; the objective is random symmetric.
     """
+    if n < 1 or m < 0:
+        raise ShapeError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
     for attempt in range(LMI_RETRIES):
         rng = np.random.default_rng(seed + attempt)
         B = rng.standard_normal((n, n))
@@ -247,20 +244,24 @@ def lmi_sdp(n: int, m: int, seed: int) -> SdpInstance:
                           + LMI_MARGIN * np.eye(n)) > 1e-8:
             continue  # inconsistent solve; resample
 
-        A = []
-        b = []
-        for _ in range(m):
+        dense = np.zeros((m, n, n))
+        for ak in dense:
             v = np.zeros(n)
             pos = rng.choice(n, size=min(2, n), replace=False)
             v[pos] = np.where(rng.random(len(pos)) < 0.5, 1.0, -1.0)
-            ak_dense = symmetrize(A_sys @ np.outer(v, v))
-            ak = SparseSymMatrix.from_dense(ak_dense)
-            A.append(ak)
-            b.append(float(np.einsum("ij,ij->", ak.to_dense(), P)))
-        A.append(SparseSymMatrix.from_coords(n, [(i, i, 1.0) for i in range(n)]))
-        b.append(1.0)
+            ak[:] = symmetrize(A_sys @ np.outer(v, v))
+        i, j = np.triu_indices(n)
+        d = np.arange(n)
+        table = coords_table(
+            n, np.concatenate([np.repeat(np.arange(m), len(i)), np.full(n, m)]),
+            np.concatenate([np.tile(i, m), d]), np.concatenate([np.tile(j, m), d]),
+            np.concatenate([dense[:, i, j].reshape(-1), np.ones(n)]))
+        kept = np.zeros((m + 1, n, n))  # each constraint's stored entries
+        tk, ti, tj, tv = table
+        kept[tk, ti, tj] = kept[tk, tj, ti] = tv
+        b = [float(np.einsum("ij,ij->", ak, P)) for ak in kept[:m]] + [1.0]
         C = symmetrize(rng.standard_normal((n, n)))
-        return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
+        return SdpInstance(n=n, C=C, b=np.array(b), table=table,
                            metadata={"problem": "lmi", "offset": 0.0, "scale": 1.0})
     raise SdpxlabError(f"system recovery failed after {LMI_RETRIES} retries")
 
@@ -272,15 +273,15 @@ def lp_to_sdp(c, A, b) -> SdpInstance:
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if A.ndim != 2 or A.shape != (len(b), len(c)):
         raise ShapeError(f"LP data shapes inconsistent: A{A.shape}, c{c.shape}, b{b.shape}")
-    n = len(c)
-    mats = [SparseSymMatrix.from_coords(n, [(i, i, row[i]) for i in range(n)])
-            for row in A]
-    rhs = list(b)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats.append(SparseSymMatrix.from_coords(n, [(i, j, 1.0)]))
-            rhs.append(0.0)
-    return SdpInstance(n=n, C=np.diag(c), A=tuple(mats), b=np.array(rhs),
+    n, rows = len(c), len(b)
+    i, j = np.triu_indices(n, 1)
+    d = np.tile(np.arange(n), rows)
+    table = coords_table(
+        n, np.concatenate([np.repeat(np.arange(rows), n), rows + np.arange(len(i))]),
+        np.concatenate([d, i]), np.concatenate([d, j]),
+        np.concatenate([A.reshape(-1), np.ones(len(i))]))
+    return SdpInstance(n=n, C=np.diag(c), b=np.concatenate([b, np.zeros(len(i))]),
+                       table=table,
                        metadata={"problem": "lp", "offset": 0.0, "scale": 1.0})
 
 

@@ -37,6 +37,7 @@ from .core import (
     SdpaParseError,
     SdpInstance,
     UnsupportedFormatError,
+    lexsort_repeats,
     quantize_array,
     symmetrize,
 )
@@ -171,10 +172,9 @@ def read_sdpa(text: str) -> SdpInstance:
     gi = offsets[blk0] + i - 1
     gj = offsets[blk0] + j - 1
     gi, gj = np.minimum(gi, gj), np.maximum(gi, gj)
-    order = np.lexsort((gj, gi, k))  # stable: a repeated entry sorts after the first
+    order, again = lexsort_repeats(k, gi, gj)
+    bad |= again
     k, gi, gj, v = k[order], gi[order], gj[order], v[order]
-    again = (k[1:] == k[:-1]) & (gi[1:] == gi[:-1]) & (gj[1:] == gj[:-1])
-    bad[order[1:][again]] = True
     if bad.any():
         _parse_entries(nos, body[:int(np.argmax(bad)) + 1], m, sizes, offsets)
         raise AssertionError("the entry masks flagged a line that the per-line checks accept")
@@ -194,16 +194,22 @@ def read_sdpa(text: str) -> SdpInstance:
     return SdpInstance(n=n, C=C, b=b, table=table)
 
 
+def _formatted(vals: np.ndarray) -> list[str]:
+    """``f"{v:.17g}"`` of each of ``vals``, once per distinct bit pattern."""
+    uniq, inv = np.unique(vals.view(np.int64), return_inverse=True)
+    text = [f"{v:.17g}" for v in uniq.view(np.float64).tolist()]
+    return [text[t] for t in inv.tolist()]
+
+
 def write_sdpa(inst: SdpInstance) -> str:
     """Serialize an instance as single-block SDPA sparse text."""
-    out = [str(inst.m), "1", str(inst.n),
-           " ".join(f"{v:.17g}" for v in inst.b.tolist())]
+    out = [str(inst.m), "1", str(inst.n), " ".join(_formatted(inst.b))]
     f0 = -inst.C
     rows, cols = np.triu_indices(inst.n)
     vals = f0[rows, cols]
     nz = vals != 0.0
-    out += [f"0 1 {i + 1} {j + 1} {v:.17g}"
-            for i, j, v in zip(rows[nz].tolist(), cols[nz].tolist(), vals[nz].tolist())]
-    out += [f"{k + 1} 1 {i + 1} {j + 1} {v:.17g}"
-            for k, i, j, v in zip(*(a.tolist() for a in inst.table))]
+    out += [f"0 1 {i + 1} {j + 1} {v}"
+            for i, j, v in zip(rows[nz].tolist(), cols[nz].tolist(), _formatted(vals[nz]))]
+    out += [f"{k + 1} 1 {i + 1} {j + 1} {v}" for k, i, j, v in
+            zip(*(a.tolist() for a in inst.table[:3]), _formatted(inst.table[3]))]
     return "\n".join(out) + "\n"

@@ -37,7 +37,16 @@ and writer of ``sdpxlab.sdpa`` replaced (``reference_read_sdpa``,
 ``reference_write_sdpa``), and the per-matrix forms that the entry table
 of ``SdpInstance`` replaced: the matrices sliced from a table and the
 flat COO form built from the matrices (``matrices_from_table``,
-``reference_coo``).
+``reference_coo``), and the constructors and generators that one
+vectorized check, ``core.coords_table``, replaced: the per-triple matrix
+constructors
+(``reference_from_coords``, ``reference_from_dense``), the per-edge
+graph check and the per-pair graph samplers (``reference_check_graph``,
+``reference_er_graph``, ``reference_regular_graph``), and the generators
+that built one matrix per constraint (``reference_maxcut_sdp``,
+``reference_maxclique_sdp``, ``reference_mis_sdp``,
+``reference_vertexcover_sdp``, ``reference_max2sat_sdp``,
+``reference_lmi_sdp``, ``reference_lp_to_sdp``).
 """
 
 from __future__ import annotations
@@ -1179,3 +1188,240 @@ def reference_write_sdpa(inst) -> str:
         for i, j, v in ak.coords():
             out.append(f"{k} 1 {i + 1} {j + 1} {v:.17g}")
     return "\n".join(out) + "\n"
+
+
+def reference_from_coords(n: int, coords):
+    """``SparseSymMatrix.from_coords`` as a loop over the triples: each one
+    range-checked, swapped to i <= j, checked against the earlier ones and
+    for finiteness in turn; the entries that quantize to zero dropped and
+    the rest sorted."""
+    from sdpxlab.core import (
+        ZERO_KEY,
+        NonFiniteError,
+        ShapeError,
+        SparseSymMatrix,
+        quantize_key,
+    )
+
+    if n <= 0:
+        raise ShapeError(f"side length must be positive, got {n}")
+    seen: dict[tuple[int, int], float] = {}
+    for i, j, v in coords:
+        i, j = int(i), int(j)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ShapeError(f"coordinate ({i},{j}) out of range for n={n}")
+        if i > j:
+            i, j = j, i
+        if (i, j) in seen:
+            raise ShapeError(f"duplicate coordinate ({i},{j})")
+        v = float(v)
+        if not math.isfinite(v):
+            raise NonFiniteError(f"non-finite value {v} at ({i},{j})")
+        seen[(i, j)] = v
+    kept = sorted((ij, v) for ij, v in seen.items() if quantize_key(v) != ZERO_KEY)
+    rows = np.array([ij[0] for ij, _ in kept], dtype=np.int64)
+    cols = np.array([ij[1] for ij, _ in kept], dtype=np.int64)
+    vals = np.array([v for _, v in kept], dtype=np.float64)
+    for a in (rows, cols, vals):
+        a.flags.writeable = False
+    return SparseSymMatrix(n=n, rows=rows, cols=cols, vals=vals)
+
+
+def reference_from_dense(m):
+    """``SparseSymMatrix.from_dense`` as a loop over the upper triangle."""
+    from sdpxlab.core import ZERO_KEY, quantize_key, symmetrize
+
+    arr = symmetrize(m)
+    n = arr.shape[0]
+    coords = [(i, j, arr[i, j]) for i in range(n) for j in range(i, n)
+              if quantize_key(arr[i, j]) != ZERO_KEY]
+    return reference_from_coords(n, coords)
+
+
+def reference_check_graph(n_nodes: int, edges) -> None:
+    """``Graph``'s edge check as a loop: raise ``ShapeError`` at the first
+    self-loop, edge out of order or range, repeated edge or non-finite
+    weight."""
+    from sdpxlab.core import ShapeError
+
+    if n_nodes < 0:
+        raise ShapeError(f"node count must be >= 0, got {n_nodes}")
+    seen = set()
+    for u, v, w in edges:
+        if u == v:
+            raise ShapeError(f"self-loop at node {u}")
+        if not (0 <= u < v < n_nodes):
+            raise ShapeError(f"bad edge ({u},{v}) for {n_nodes} nodes")
+        if (u, v) in seen:
+            raise ShapeError(f"duplicate edge ({u},{v})")
+        if not np.isfinite(w):
+            raise ShapeError(f"non-finite weight on edge ({u},{v})")
+        seen.add((u, v))
+
+
+def reference_er_graph(n: int, p: float, seed: int):
+    """``relaxations.er_graph`` drawing one scalar per node pair in turn."""
+    from sdpxlab.relaxations import Graph
+
+    rng = np.random.default_rng(seed)
+    edges = tuple((i, j, 1.0) for i in range(n) for j in range(i + 1, n)
+                  if rng.random() < p)
+    return Graph(n_nodes=n, edges=edges)
+
+
+def reference_regular_graph(n: int, d: int, seed: int):
+    """``relaxations.regular_graph`` checking the pairs one at a time."""
+    from sdpxlab.core import SdpxlabError
+    from sdpxlab.relaxations import PAIRING_RETRIES, Graph
+
+    for attempt in range(PAIRING_RETRIES):
+        rng = np.random.default_rng(seed + attempt)
+        stubs = np.repeat(np.arange(n), d)
+        rng.shuffle(stubs)
+        edges = set()
+        for u, v in stubs.reshape(-1, 2).tolist():
+            if u == v or (min(u, v), max(u, v)) in edges:
+                break
+            edges.add((min(u, v), max(u, v)))
+        else:
+            return Graph(n_nodes=n, edges=tuple((u, v, 1.0) for u, v in sorted(edges)))
+    raise SdpxlabError(f"pairing model failed after {PAIRING_RETRIES} retries")
+
+
+def _diag_constraints(n: int) -> list:
+    return [reference_from_coords(n, [(i, i, 1.0)]) for i in range(n)]
+
+
+def reference_maxcut_sdp(g):
+    """``relaxations.maxcut_sdp`` building one matrix per constraint."""
+    from sdpxlab.core import SdpInstance
+
+    n = g.n_nodes
+    C = np.zeros((n, n))
+    for u, v, w in g.edges:
+        C[u, v] = C[v, u] = w / 4.0
+    total_w = sum(w for _, _, w in g.edges)
+    return SdpInstance(n=n, C=C, A=tuple(_diag_constraints(n)), b=np.ones(n),
+                       metadata={"problem": "maxcut", "offset": total_w / 2.0,
+                                 "scale": -1.0})
+
+
+def _reference_theta_like(n: int, zero_pairs, problem: str):
+    from sdpxlab.core import SdpInstance
+
+    C = -np.ones((n, n))
+    A = [reference_from_coords(n, [(i, i, 1.0) for i in range(n)])]
+    b = [1.0]
+    for i, j in zero_pairs:
+        A.append(reference_from_coords(n, [(i, j, 1.0)]))
+        b.append(0.0)
+    return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
+                       metadata={"problem": problem, "offset": 0.0, "scale": -1.0})
+
+
+def reference_maxclique_sdp(g):
+    """``relaxations.maxclique_sdp`` pinning the non-edges one at a time."""
+    present = {(u, v) for u, v, _ in g.edges}
+    return _reference_theta_like(
+        g.n_nodes, [(i, j) for i in range(g.n_nodes) for j in range(i + 1, g.n_nodes)
+                    if (i, j) not in present], "maxclique")
+
+
+def reference_mis_sdp(g):
+    """``relaxations.mis_sdp`` pinning the edges one at a time."""
+    return _reference_theta_like(g.n_nodes, [(u, v) for u, v, _ in g.edges], "mis")
+
+
+def reference_vertexcover_sdp(g):
+    """``relaxations.vertexcover_sdp`` building one matrix per constraint."""
+    from sdpxlab.core import SdpInstance
+
+    n = g.n_nodes + 1
+    C = np.zeros((n, n))
+    C[0, 1:] = 0.25
+    C[1:, 0] = 0.25
+    A = _diag_constraints(n)
+    b = [1.0] * n
+    for u, v, _ in g.edges:
+        i, j = u + 1, v + 1
+        A.append(reference_from_coords(
+            n, [(0, 0, 1.0), (0, i, -0.5), (0, j, -0.5), (i, j, 0.5)]))
+        b.append(0.0)
+    return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
+                       metadata={"problem": "vertexcover",
+                                 "offset": g.n_nodes / 2.0, "scale": 1.0})
+
+
+def reference_max2sat_sdp(cm):
+    """``relaxations.max2sat_sdp`` building one matrix per constraint."""
+    from sdpxlab.core import SdpInstance, symmetrize
+
+    Amat = cm.matrix.astype(np.float64)
+    nv = cm.n_vars
+    n = nv + 1
+    G = Amat.T @ Amat
+    col_sums = Amat.sum(axis=0)
+    C = np.zeros((n, n))
+    C[:nv, :nv] = G - np.diag(np.diag(G))
+    C[:nv, nv] = -col_sums
+    C[nv, :nv] = -col_sums
+    C = symmetrize(C / 8.0)
+    return SdpInstance(n=n, C=C, A=tuple(_diag_constraints(n)), b=np.ones(n),
+                       metadata={"problem": "max2sat",
+                                 "offset": float(np.trace(G)) / 8.0, "scale": 1.0})
+
+
+def reference_lmi_sdp(n: int, m: int, seed: int):
+    """``relaxations.lmi_sdp`` building one matrix per constraint from its
+    dense form, the rhs read from the matrix's own dense form."""
+    from sdpxlab.core import SdpInstance, symmetrize
+    from sdpxlab.relaxations import LMI_MARGIN, LMI_RETRIES
+
+    for attempt in range(LMI_RETRIES):
+        rng = np.random.default_rng(seed + attempt)
+        B = rng.standard_normal((n, n))
+        P = B @ B.T + 0.1 * np.eye(n)
+        P /= np.trace(P)
+        op = np.zeros((n * n, n * n))
+        for col in range(n * n):
+            E = np.zeros((n, n))
+            E.flat[col] = 1.0
+            op[:, col] = (E.T @ P + P @ E).reshape(-1)
+        target = (-LMI_MARGIN * np.eye(n)).reshape(-1)
+        sol, _, _, _ = np.linalg.lstsq(op, target, rcond=None)
+        A_sys = sol.reshape(n, n)
+        if np.linalg.norm(A_sys.T @ P + P @ A_sys + LMI_MARGIN * np.eye(n)) > 1e-8:
+            continue
+        A = []
+        b = []
+        for _ in range(m):
+            v = np.zeros(n)
+            pos = rng.choice(n, size=min(2, n), replace=False)
+            v[pos] = np.where(rng.random(len(pos)) < 0.5, 1.0, -1.0)
+            ak = reference_from_dense(symmetrize(A_sys @ np.outer(v, v)))
+            A.append(ak)
+            b.append(float(np.einsum("ij,ij->", ak.to_dense(), P)))
+        A.append(reference_from_coords(n, [(i, i, 1.0) for i in range(n)]))
+        b.append(1.0)
+        C = symmetrize(rng.standard_normal((n, n)))
+        return SdpInstance(n=n, C=C, A=tuple(A), b=np.array(b),
+                           metadata={"problem": "lmi", "offset": 0.0, "scale": 1.0})
+    raise AssertionError("system recovery failed")
+
+
+def reference_lp_to_sdp(c, A, b):
+    """``relaxations.lp_to_sdp`` building one matrix per LP row and pin."""
+    from sdpxlab.core import SdpInstance
+
+    c = np.asarray(c, dtype=np.float64).reshape(-1)
+    A = np.asarray(A, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    n = len(c)
+    mats = [reference_from_coords(n, [(i, i, row[i]) for i in range(n)]) for row in A]
+    rhs = list(b)
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats.append(reference_from_coords(n, [(i, j, 1.0)]))
+            rhs.append(0.0)
+    return SdpInstance(n=n, C=np.diag(c), A=tuple(mats), b=np.array(rhs),
+                       metadata={"problem": "lp", "offset": 0.0, "scale": 1.0})

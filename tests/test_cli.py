@@ -5,8 +5,20 @@ import pytest
 
 from sdpxlab.cli import main
 from sdpxlab.pdhg import PdhgConfig, solve
+from sdpxlab.relaxations import random_clauses
 from sdpxlab.sdpa import read_sdpa
 
+from oracles import (
+    reference_er_graph,
+    reference_lmi_sdp,
+    reference_max2sat_sdp,
+    reference_maxclique_sdp,
+    reference_maxcut_sdp,
+    reference_mis_sdp,
+    reference_regular_graph,
+    reference_vertexcover_sdp,
+    reference_write_sdpa,
+)
 from test_sdpa import HUGE_BLOCKS
 
 
@@ -199,6 +211,27 @@ def test_bad_flag_is_usage_error(capsys):
     assert code == 2
     code, _, _ = run(["solve", "x", "--tol", "-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("args, oracle", [
+    (["maxcut", "--n", "9", "--p", "0.4"],
+     lambda s: reference_maxcut_sdp(reference_er_graph(9, 0.4, s))),
+    (["clique", "--n", "11"], lambda s: reference_maxclique_sdp(reference_er_graph(11, 0.5, s))),
+    (["mis", "--n", "10", "--p", "0.3"],
+     lambda s: reference_mis_sdp(reference_er_graph(10, 0.3, s))),
+    (["vc", "--n", "8", "--p", "0.3"],
+     lambda s: reference_vertexcover_sdp(reference_er_graph(8, 0.3, s))),
+    (["vc", "--n", "10", "--d", "3"],
+     lambda s: reference_vertexcover_sdp(reference_regular_graph(10, 3, s))),
+    (["max2sat", "--n", "5"], lambda s: reference_max2sat_sdp(random_clauses(5, 10, s))),
+    (["lmi", "--n", "3", "--m", "5"], lambda s: reference_lmi_sdp(3, 5, s)),
+], ids=["maxcut", "clique", "mis", "vc-p", "vc-d", "max2sat", "lmi"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_gen_writes_the_bytes_of_the_per_constraint_build(tmp_path, capsys, args, oracle, seed):
+    path = tmp_path / "t.dat-s"
+    code, _, _ = run(["gen", "--problem", *args, "--seed", str(seed), "-o", str(path)], capsys)
+    assert code == 0
+    assert path.read_bytes() == reference_write_sdpa(oracle(seed)).encode()
 
 
 @pytest.mark.parametrize("args", [

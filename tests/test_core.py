@@ -14,6 +14,8 @@ from sdpxlab.core import (
     apply_A_adjoint,
     constraint_rank,
     constraint_residual,
+    coords_table,
+    entry_table,
     neighbor_lists,
     objective,
     order_keys,
@@ -58,6 +60,8 @@ from oracles import (
     loop_reorder_constraints,
     matrices_from_table,
     reference_coo,
+    reference_from_coords,
+    reference_from_dense,
 )
 
 prop32 = prop_diag_pair_instance
@@ -359,3 +363,69 @@ def test_order_keys_sort_float_rows_like_lexsort(n_rows, width, data):
     keys = order_keys(table)
     assert keys.shape == (n_rows,)
     np.testing.assert_array_equal(np.argsort(keys, kind="stable"), np.lexsort(table.T[::-1]))
+
+
+def _matrix_or_error(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_INDICES = st.integers(-1, 6)
+_VALUES = st.one_of(
+    st.floats(-10, 10), st.floats(-1e-12, 1e-12),  # many below the quantum
+    st.sampled_from([0.0, -0.0, 4.9e-13, -5.1e-13, 1e300, np.nan, np.inf, -np.inf]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(-1, 5), st.lists(st.tuples(_INDICES, _INDICES, _VALUES), max_size=10),
+       st.data())
+def test_coords_table_matches_the_per_triple_loop(n, coords, data):
+    # repeat some coordinates as (j, i), with any value, so repeats are common
+    for i, j, _ in data.draw(st.lists(st.sampled_from(coords), max_size=3)) if coords else ():
+        coords.insert(data.draw(st.integers(0, len(coords))), (j, i, data.draw(_VALUES)))
+    got = _matrix_or_error(lambda: SparseSymMatrix.from_coords(n, coords))
+    assert got == _matrix_or_error(lambda: reference_from_coords(n, coords))
+    if isinstance(got, SparseSymMatrix):
+        assert not any(a.flags.writeable for a in (got.rows, got.cols, got.vals))
+
+
+@pytest.mark.parametrize("coords", [
+    [(0, 1, 1.0), (1, 0, np.nan)],                 # a repeat before a non-finite value
+    [(2, 2, np.inf), (2, 2, 1.0)],
+    [(0, 0, 1.0), (1, 2, -np.inf), (0, 3, 1.0)],   # the first bad entry wins
+    [(0, 0, 1.0), (0, 3, 1.0), (1, 2, np.nan)],
+    [(1, 0, 1e-13), (0, 1, 2.0)],                  # a dropped value still repeats
+    [(3, -1, 1.0), (3, -1, 1.0)],
+])
+def test_coords_table_reports_the_first_bad_entry_like_the_loop(coords):
+    assert (_matrix_or_error(lambda: SparseSymMatrix.from_coords(3, coords))
+            == _matrix_or_error(lambda: reference_from_coords(3, coords)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5),
+       st.lists(st.lists(st.tuples(_INDICES, _INDICES, _VALUES), max_size=6), max_size=4))
+def test_coords_table_of_several_matrices_matches_the_per_matrix_loop(n, groups):
+    k = [g for g, coords in enumerate(groups) for _ in coords]
+    i, j, v = ([c[f] for coords in groups for c in coords] for f in range(3))
+
+    def table(build):
+        out = _matrix_or_error(build)
+        return out if isinstance(out, tuple) and isinstance(out[0], type) else [
+            (a.dtype, a.tolist()) for a in out]
+    assert table(lambda: coords_table(n, k, i, j, v)) == table(
+        lambda: entry_table([reference_from_coords(n, coords) for coords in groups]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6))
+def test_from_dense_matches_the_per_entry_loop(seed, n):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) * rng.choice([1e-13, 1.0, 1e6], size=(n, n))
+    m[rng.random((n, n)) < 0.3] = 0.0
+    if n and rng.random() < 0.2:
+        m[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf])
+    assert (_matrix_or_error(lambda: SparseSymMatrix.from_dense(m))
+            == _matrix_or_error(lambda: reference_from_dense(m)))

@@ -312,13 +312,14 @@ def test_quantized_equals_per_value_quantization():
 
 def test_forward_passes_quantize_nothing(monkeypatch):
     # int_view quantizes C, the coo values and b once per instance; every
-    # forward pass and layer reads those values
+    # forward pass and layer reads those values (building the instance
+    # quantizes its entries too, so it is built before the count starts)
     import sdpxlab.core as core_mod
 
+    inst = maxcut_sdp(er_graph(8, 0.5, 1))
     calls = []
     quantize = core_mod.quantize_array
     monkeypatch.setattr(core_mod, "quantize_array", lambda x: calls.append(x) or quantize(x))
-    inst = maxcut_sdp(er_graph(8, 0.5, 1))
     for arch in Arch:
         forward(arch, inst, D, 3, 0)
         forward(arch, inst, D, 3, 1)

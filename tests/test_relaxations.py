@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sdpxlab.core import ShapeError, constraint_residual, objective
+from sdpxlab.core import (
+    SdpInstance,
+    SdpxlabError,
+    ShapeError,
+    SparseSymMatrix,
+    constraint_residual,
+    objective,
+)
 from sdpxlab.pdhg import min_norm_solution, solve_continuation
 from sdpxlab.relaxations import (
     ClauseMatrix,
@@ -20,7 +29,20 @@ from sdpxlab.relaxations import (
 )
 from sdpxlab.sdpa import read_sdpa, write_sdpa
 
-from oracles import maxcut_triangle_objective, penalty_objective
+from oracles import (
+    maxcut_triangle_objective,
+    penalty_objective,
+    reference_check_graph,
+    reference_er_graph,
+    reference_lmi_sdp,
+    reference_lp_to_sdp,
+    reference_max2sat_sdp,
+    reference_maxclique_sdp,
+    reference_maxcut_sdp,
+    reference_mis_sdp,
+    reference_regular_graph,
+    reference_vertexcover_sdp,
+)
 
 
 def triangle():
@@ -198,3 +220,136 @@ def test_generated_instances_round_trip():
         np.testing.assert_array_equal(inst.C, again.C)
         assert all(a == b for a, b in zip(inst.A, again.A))
         np.testing.assert_array_equal(inst.b, again.b)
+
+
+def _outcome(build):
+    """The bytes of every array of the instance ``build()`` returns, its
+    dtypes and metadata, or the type and message of what it raises."""
+    try:
+        inst = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    arrays = (inst.C, inst.b, *inst.table)
+    return (inst.n, inst.metadata, [a.dtype for a in arrays],
+            [a.tobytes() for a in arrays])
+
+
+GRID = [(n, p, seed) for n in (1, 2, 5, 12, 30) for p in (0.0, 0.3, 0.5, 1.0)
+        for seed in range(3)]
+REGULAR = [(6, 2), (10, 3), (9, 4), (8, 0)]
+
+
+def test_er_graph_draws_like_the_per_pair_loop():
+    for n, p, seed in [(0, 0.5, 0), *GRID]:
+        assert er_graph(n, p, seed) == reference_er_graph(n, p, seed)
+
+
+def test_regular_graph_pairs_like_the_per_pair_loop():
+    for (n, d), seed in [(nd, seed) for nd in [*REGULAR, (30, 4), (12, 5)] for seed in range(3)]:
+        try:
+            want = reference_regular_graph(n, d, seed)
+        except SdpxlabError as exc:  # (12, 5): no simple graph in 100 tries
+            with pytest.raises(SdpxlabError, match=str(exc)):
+                regular_graph(n, d, seed)
+        else:
+            assert regular_graph(n, d, seed) == want
+
+
+_WEIGHTS = st.sampled_from([1.0, -2.5, np.nan, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1, 6),
+       st.lists(st.tuples(st.integers(-1, 7), st.integers(-1, 7), _WEIGHTS), max_size=8),
+       st.data())
+def test_graph_check_matches_the_per_edge_loop(n, edges, data):
+    for u, v, _ in data.draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else ():
+        edges.insert(data.draw(st.integers(0, len(edges))), (u, v, data.draw(_WEIGHTS)))
+
+    def error(check):
+        try:
+            check()
+        except ShapeError as exc:
+            return str(exc)
+        return None
+    assert (error(lambda: Graph(n_nodes=n, edges=tuple(edges)))
+            == error(lambda: reference_check_graph(n, edges)))
+
+
+@pytest.mark.parametrize("build, oracle", [
+    (maxcut_sdp, reference_maxcut_sdp), (maxclique_sdp, reference_maxclique_sdp),
+    (mis_sdp, reference_mis_sdp), (vertexcover_sdp, reference_vertexcover_sdp),
+], ids=["maxcut", "clique", "mis", "vc"])
+def test_graph_generators_match_the_per_constraint_build(build, oracle):
+    graphs = [er_graph(n, p, seed) for n, p, seed in GRID]
+    graphs += [regular_graph(n, d, seed) for n, d in REGULAR for seed in range(3)]
+    graphs.append(Graph(n_nodes=4, edges=((0, 3, 2.5), (1, 2, -1.0))))
+    for g in graphs:
+        assert _outcome(lambda: build(g)) == _outcome(lambda: oracle(g))
+
+
+def test_max2sat_matches_the_per_constraint_build():
+    for n_vars, seed in [(n_vars, seed) for n_vars in (2, 3, 5, 12) for seed in range(3)]:
+        for k in (0, n_vars, 2 * n_vars):
+            cm = random_clauses(n_vars, k, seed)
+            assert _outcome(lambda: max2sat_sdp(cm)) == _outcome(lambda: reference_max2sat_sdp(cm))
+
+
+def test_lmi_matches_the_per_constraint_build():
+    for n, m, seed in [(n, m, seed) for n in (1, 2, 3, 5) for m in (0, 1, 4, 9)
+                       for seed in range(3)]:
+        assert _outcome(lambda: lmi_sdp(n, m, seed)) == _outcome(
+            lambda: reference_lmi_sdp(n, m, seed))
+
+
+def test_lp_to_sdp_matches_the_per_constraint_build():
+    rng = np.random.default_rng(0)
+    cases = [([1.0, 2.0], [[np.nan, 1.0]], [1.0]),             # the oracle's errors
+             ([1.0, 2.0], [[1.0, 0.0], [2.0, -np.inf]], [1.0, np.nan]),
+             ([np.nan, 2.0], [[1.0, 1.0]], [1.0])]
+    for _ in range(40):
+        n, rows = int(rng.integers(1, 7)), int(rng.integers(0, 4))
+        A = rng.standard_normal((rows, n)) * (rng.random((rows, n)) < 0.5)  # zero coefficients
+        A[rng.random((rows, n)) < 0.2] = -3e-13  # quantizes to zero: dropped
+        cases.append((rng.standard_normal(n), A, rng.standard_normal(rows)))
+    for c, A, b in cases:
+        assert _outcome(lambda: lp_to_sdp(c, A, b)) == _outcome(
+            lambda: reference_lp_to_sdp(c, A, b))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: maxcut_sdp(Graph(n_nodes=0, edges=())), ShapeError,
+     "side length must be positive, got 0"),
+    (lambda: maxclique_sdp(Graph(n_nodes=0, edges=())), ShapeError,
+     "side length must be positive, got 0"),
+    (lambda: mis_sdp(er_graph(0, 0.5, 0)), ShapeError, "side length must be positive, got 0"),
+    (lambda: vertexcover_sdp(er_graph(-3, 0.5, 0)), ShapeError,
+     "node count must be >= 0, got -3"),
+    (lambda: max2sat_sdp(random_clauses(-1, 2, 0)), ValueError,
+     "need at least 2 variables for 2-literal clauses"),
+    (lambda: lmi_sdp(0, 2, 0), ShapeError, "need n >= 1 and m >= 0, got n=0, m=2"),
+    (lambda: lmi_sdp(-2, 2, 0), ShapeError, "need n >= 1 and m >= 0, got n=-2, m=2"),
+    (lambda: lp_to_sdp([], np.zeros((0, 0)), []), ShapeError,
+     "side length must be positive, got 0"),
+    (lambda: SdpInstance(n=0, C=np.zeros((0, 0)), A=(), b=[]), ShapeError,
+     "side length must be positive, got 0"),
+], ids=["maxcut", "clique", "mis", "vc", "max2sat", "lmi-zero", "lmi-negative", "lp",
+        "instance"])
+def test_zero_and_negative_sizes_raise_typed_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_generators_build_no_matrix_per_constraint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a generator built a SparseSymMatrix")
+
+    monkeypatch.setattr(SparseSymMatrix, "from_coords", classmethod(refuse))
+    monkeypatch.setattr(SparseSymMatrix, "__init__", refuse)
+    g = er_graph(100, 0.5, 0)
+    assert maxclique_sdp(g).m == 1 + len(g.non_edges())
+    assert vertexcover_sdp(g).m == 101 + g.n_edges
+    for inst in (maxcut_sdp(g), mis_sdp(g), max2sat_sdp(random_clauses(6, 12, 0)),
+                 lmi_sdp(3, 4, 0), lp_to_sdp([1.0, 2.0], [[1.0, 0.0]], [1.0])):
+        assert len(inst.table[0]) > 0

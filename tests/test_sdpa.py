@@ -406,5 +406,11 @@ def test_writer_matches_reference_writer():
     odd = SdpInstance(n=5, C=C + C.T, b=rng.standard_normal(2) * 1e-7, A=(
         SparseSymMatrix.from_coords(5, [(4, 0, rng.standard_normal()), (2, 2, 1e300)]),
         SparseSymMatrix.from_coords(5, [])))
-    for inst in [*operator_instances(), lmi_sdp(4, 3, seed=2), odd]:
+    zeros = SdpInstance(n=2, C=np.eye(2), b=[-0.0, 0.0, -0.0], A=(  # -0.0 and 0.0 apart
+        *(SparseSymMatrix.from_coords(2, [(0, 0, x)]) for x in (1.0, -1.0)),
+        SparseSymMatrix.from_coords(2, [(1, 1, 1.0)])))
+    g = er_graph(40, 0.5, 3)
+    generated = [build(g) for build in (maxcut_sdp, maxclique_sdp, mis_sdp, vertexcover_sdp)]
+    generated += [lmi_sdp(n, m, seed) for n, m, seed in ((4, 3, 2), (5, 9, 0), (2, 6, 7))]
+    for inst in [*operator_instances(), *generated, odd, zeros]:
         assert write_sdpa(inst) == reference_write_sdpa(inst)
