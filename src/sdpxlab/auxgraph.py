@@ -14,19 +14,26 @@ flag), constraints get b_k, triples get the unordered pair {C_iu, C_uj}.
 Standard synchronous 1-WL with edge-colored signatures then runs until
 the joint partition stabilizes; the result restricted to variable and
 constraint nodes is returned.
+
+Nodes are numbered cells (i*n + j), then constraints (n^2 + k), then
+triples (n^2 + m + (i*n + u)*n + j), and colors are one int64 array over
+them.  The in-edges are three parallel arrays (destination, edge color,
+source), sorted by destination once: edge color 0 for triple -> cell, 1
+for cell -> triple, and 2 + ``IntView.A`` for the entries of ``coo``.  A
+round codes each edge as (edge color, source color), sorts the codes of
+each node, writes them after the node's own color into one row padded
+with -1, and interns all rows with one ``colors._intern_rows``.
+``tests/oracles.py`` keeps the pure-Python 1-WL this replaced.
 """
 
 from __future__ import annotations
 
-from .colors import Partition, StabilizationError, canonical_labels
-from .core import SdpInstance, SizeGuardError, neighbor_lists, quantize_key
-
 import numpy as np
 
-AUX_N_CAP = 24
+from .colors import Partition, _intern_rows, _n_ids, _partition
+from .core import SdpInstance, SizeGuardError, StabilizationError
 
-_EDGE_TRI_TO_VAR = 0
-_EDGE_VAR_TO_TRI = 1
+AUX_N_CAP = 24
 
 
 def aux_graph_stable(inst: SdpInstance) -> Partition:
@@ -35,64 +42,44 @@ def aux_graph_stable(inst: SdpInstance) -> Partition:
     if n > AUX_N_CAP:
         raise SizeGuardError(
             f"auxiliary graph needs n^3 = {n ** 3} triple nodes; capped at n <= {AUX_N_CAP}")
+    view, (k, cell, _) = inst.int_view, inst.coo
+    n_var, tri_base = n * n, n * n + m
+    i, u, j = (a.reshape(-1) for a in np.indices((n, n, n)))
+    tri = tri_base + np.arange(n ** 3)
 
-    n_var = n * n
-    con_base = n_var
-    tri_base = n_var + m
+    # initial colors: (family, id, id) rows, interned once
+    C = view.C.reshape(-1)
+    pair = np.sort(np.stack([C[i * n + u], C[u * n + j]], axis=1), axis=1)
+    init = np.concatenate([
+        np.stack([np.zeros(n_var, np.int64), C, np.eye(n, dtype=np.int64).reshape(-1)], axis=1),
+        np.stack([np.ones(m, np.int64), view.b, np.zeros(m, np.int64)], axis=1),
+        np.concatenate([np.full((n ** 3, 1), 2), pair], axis=1)])
+    cur = _intern_rows(init)
 
-    def var_id(i, j):
-        return i * n + j
+    edge_color = 2 + view.A
+    dst = np.concatenate([i * n + j, tri, tri, cell, n_var + k])
+    ec = np.concatenate([np.zeros(n ** 3, np.int64), np.ones(2 * n ** 3, np.int64),
+                         edge_color, edge_color])
+    src = np.concatenate([tri, i * n + u, u * n + j, n_var + k, cell])
+    by_dst = np.argsort(dst, kind="stable")
+    dst, ec, src = dst[by_dst], ec[by_dst], src[by_dst]
+    degree = np.bincount(dst, minlength=len(cur))
+    slot = 1 + np.arange(len(dst)) - (np.cumsum(degree) - degree)[dst]
+    # row: own color, then the sorted in-edge codes; codes are >= 0, so the
+    # -1 padding after them also fixes the in-degree
+    table = np.full((len(cur), 1 + int(degree.max())), -1, dtype=np.int64)
+    span = int(ec.max()) + 1  # codes of a round lie in 0..span*K-1
 
-    def tri_id(i, u, j):
-        return tri_base + (i * n + u) * n + j
-
-    qC = [[quantize_key(inst.C[i, j]) for j in range(n)] for i in range(n)]
-
-    # initial colors, tagged per node family so namespaces stay disjoint
-    colors: list = [None] * (tri_base + n ** 3)
-    for i in range(n):
-        for j in range(n):
-            colors[var_id(i, j)] = (0, qC[i][j], 1 if i == j else 0)
-    for k in range(m):
-        colors[con_base + k] = (1, quantize_key(inst.b[k]))
-    for i in range(n):
-        for u in range(n):
-            for j in range(n):
-                a, b = qC[i][u], qC[u][j]
-                colors[tri_id(i, u, j)] = (2, (a, b) if a <= b else (b, a))
-
-    # incoming adjacency: node -> list of (edge_color_key, source node)
-    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(len(colors))]
-    for i in range(n):
-        for j in range(n):
-            vid = var_id(i, j)
-            for u in range(n):
-                t = tri_id(i, u, j)
-                in_edges[vid].append((_EDGE_TRI_TO_VAR, t))
-                in_edges[t].append((_EDGE_VAR_TO_TRI, var_id(i, u)))
-                in_edges[t].append((_EDGE_VAR_TO_TRI, var_id(u, j)))
-    cell_nbrs, con_nbrs = neighbor_lists(inst)
-    for cell, lst in enumerate(cell_nbrs):
-        for k, v in lst:
-            in_edges[cell].append((quantize_key(v), con_base + k))
-    for k, lst in enumerate(con_nbrs):
-        for cell, v in lst:
-            in_edges[con_base + k].append((quantize_key(v), cell))
-
-    # first-occurrence labels intern the signatures: equal ids iff equal
-    cur = canonical_labels(colors, [])[0]
-    rounds_used = 0
     # at most one strict refinement per node, plus the confirming round
-    for rounds_used in range(1, len(colors) + 2):
-        sigs = [(cur[x], tuple(sorted((ec, cur[src]) for ec, src in in_edges[x])))
-                for x in range(len(cur))]
-        nxt = canonical_labels(sigs, [])[0]
-        if nxt == cur:
+    for rounds in range(1, len(cur) + 2):
+        K = _n_ids(cur)
+        code = ec * K + cur[src]
+        table[:, 0] = cur
+        table[dst, slot] = code[np.argsort(dst * (span * K) + code)]
+        nxt = _intern_rows(table)
+        if _n_ids(nxt) == K:  # nxt refines cur, so as many classes is cur
             break
         cur = nxt
     else:  # pragma: no cover
         raise StabilizationError("auxiliary-graph refinement did not stabilize")
-
-    pv, pc = canonical_labels(cur[:n_var], cur[con_base:con_base + m])
-    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
-                     con=np.array(pc, dtype=np.int64), rounds=rounds_used)
+    return _partition(cur[:n_var].reshape(n, n), cur[n_var:tri_base], rounds)

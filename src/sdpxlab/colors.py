@@ -219,11 +219,8 @@ def step(algo: Algo, state: ColorState, inst: SdpInstance) -> ColorState:
     return ColorState(round=state.round + 1, var_colors=var, con_colors=con, algo=algo)
 
 
-def _assert_monotone(old: np.ndarray, new: np.ndarray) -> None:
-    # every new class must sit inside one old class
-    back = np.empty(_n_ids(new), dtype=np.int64)
-    back[new.reshape(-1)] = old.reshape(-1)
-    if np.any(back[new.reshape(-1)] != old.reshape(-1)):
+def _assert_monotone(old: Partition, new: Partition) -> None:
+    if not refines(new, old):
         raise StabilizationError("refinement step merged classes (bug)")
 
 
@@ -256,8 +253,7 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
     var, con = state.var_colors, state.con_colors
     for rounds_used in range(1, budget + 1):
         new_var, new_con = _refine(algo, inst, var, con)
-        _assert_monotone(var, new_var)
-        _assert_monotone(con, new_con)
+        _assert_monotone(Partition(var, con, 0), Partition(new_var, new_con, 0))
         # a refinement with as many classes is the same partition
         if _n_ids(new_var) + _n_ids(new_con) == _n_ids(var) + _n_ids(con):
             return _partition(var, con, rounds_used), rounds_used
@@ -271,12 +267,17 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
 
 
 def refines(p: Partition, q: Partition) -> bool:
-    """True iff every class of ``p`` is contained in a class of ``q``."""
+    """True iff every class of ``p`` is contained in a class of ``q``
+    (class ids are nonnegative, as in every ``Partition`` built here)."""
     if p.var.shape != q.var.shape or p.con.shape != q.con.shape:
         raise ShapeError("partitions have different index sets")
-    # p refines q iff no class of p pairs with two classes of q
-    return all(len(set(zip(a.flat, b.flat))) == len(set(a.flat))
-               for a, b in ((p.var, q.var), (p.con, q.con)))
+    for fine, coarse in ((p.var.reshape(-1), q.var.reshape(-1)), (p.con, q.con)):
+        # map each class of p to the q class of one member, then check all
+        back = np.empty(_n_ids(fine), dtype=np.int64)
+        back[fine] = coarse
+        if np.any(back[fine] != coarse):
+            return False
+    return True
 
 
 # --- ablation pipelines used by the verification harness ---------------

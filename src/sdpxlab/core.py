@@ -286,7 +286,8 @@ class SdpInstance:
     no value that quantizes to zero, passed in as ``coords_table`` builds it
     (the generators, ``permute_instance``, ``reorder_constraints``) or as
     ``sdpa.read_sdpa`` does.  Only hand-built instances (the ``verify``
-    counterexamples and the tests) pass matrices ``A`` on side n instead.
+    counterexamples and the tests) pass matrices ``A`` on side n instead;
+    their entries go through ``coords_table`` too.
     ``A`` reads back as read-only ``SparseSymMatrix`` views of the table,
     built on first read.  ``metadata`` carries the provenance of generated
     instances (problem family, dropped additive constant and sign so
@@ -308,7 +309,7 @@ class SdpInstance:
                     raise ShapeError(f"A[{k}] has side {ak.n}, expected {n}")
             if len(self.b) != len(A):
                 raise ShapeError(f"|b|={len(self.b)} but m={len(A)}")
-            table = entry_table(A)
+            table = coords_table(n, *entry_table(A))
         if not (np.all(np.isfinite(self.C)) and np.all(np.isfinite(self.b))):
             raise NonFiniteError("C and b must be finite")
         self.table = tuple(table)
@@ -502,6 +503,9 @@ def neighbor_lists(inst: SdpInstance):
     ``con_nbrs[k]`` lists ``(flat_cell, A_kij)`` in row-major cell order.
     Membership follows the quantized nonzero pattern (enforced when the
     entry table is built).  The lists are built once per instance
-    and returned as the same read-only tuples on every call.
+    and returned as the same read-only tuples on every call.  No library
+    module calls this any more (refinement and the forward passes read
+    ``coo`` and ``int_view``); it stays because the benchmark's tracer,
+    ``perfbench/tracer.py``, wraps it by name.
     """
     return inst._neighbor_lists

@@ -15,7 +15,11 @@ entry-by-entry relabeling and reordering loops (``core.permute_instance``,
 constraint stack and of the per-matrix coordinates that the flat COO form
 replaced (``core.apply_A``, ``core.apply_A_adjoint``,
 ``core.constraint_rank``, ``core.neighbor_lists``,
-``colors.joint_encoding_stable``), the pure-Python color refinement
+``colors.joint_encoding_stable``), the pure-Python 1-WL on the auxiliary
+graph that the flat edge arrays of ``sdpxlab.auxgraph`` replaced
+(``reference_aux_graph_stable``), the set-based refinement containment
+that the back-map of ``colors.refines`` replaced (``set_refines``), the
+pure-Python color refinement
 that the int64 signature table of ``sdpxlab.colors`` replaced: per-cell
 signature tuples, sorted and interned each round (``reference_step``,
 ``reference_run_to_stable`` and the two ablation pipelines), and the
@@ -427,6 +431,80 @@ def matrices_from_table(n: int, m: int, k, rows, cols, vals):
     ends = np.searchsorted(k, np.arange(m + 1)).tolist()
     return tuple(SparseSymMatrix(n=n, rows=rows[s:e], cols=cols[s:e], vals=vals[s:e])
                  for s, e in zip(ends, ends[1:]))
+
+
+def reference_aux_graph_stable(inst):
+    """``auxgraph.aux_graph_stable`` as pure-Python 1-WL: per node, a
+    sorted tuple of (edge key, source color) pairs read from
+    ``core.neighbor_lists``, interned by first occurrence each round."""
+    from sdpxlab.colors import Partition, canonical_labels
+    from sdpxlab.core import neighbor_lists, quantize_key
+
+    n, m = inst.n, inst.m
+    n_var = n * n
+    con_base = n_var
+    tri_base = n_var + m
+
+    def var_id(i, j):
+        return i * n + j
+
+    def tri_id(i, u, j):
+        return tri_base + (i * n + u) * n + j
+
+    qC = [[quantize_key(inst.C[i, j]) for j in range(n)] for i in range(n)]
+
+    # initial colors, tagged per node family so namespaces stay disjoint
+    colors: list = [None] * (tri_base + n ** 3)
+    for i in range(n):
+        for j in range(n):
+            colors[var_id(i, j)] = (0, qC[i][j], 1 if i == j else 0)
+    for k in range(m):
+        colors[con_base + k] = (1, quantize_key(inst.b[k]))
+    for i in range(n):
+        for u in range(n):
+            for j in range(n):
+                a, b = qC[i][u], qC[u][j]
+                colors[tri_id(i, u, j)] = (2, (a, b) if a <= b else (b, a))
+
+    # incoming adjacency: node -> list of (edge_color_key, source node);
+    # edge keys 0 (triple -> cell) and 1 (cell -> triple) are no
+    # quantize_key of a nonzero value
+    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(len(colors))]
+    for i in range(n):
+        for j in range(n):
+            vid = var_id(i, j)
+            for u in range(n):
+                t = tri_id(i, u, j)
+                in_edges[vid].append((0, t))
+                in_edges[t].append((1, var_id(i, u)))
+                in_edges[t].append((1, var_id(u, j)))
+    cell_nbrs, con_nbrs = neighbor_lists(inst)
+    for cell, lst in enumerate(cell_nbrs):
+        for k, v in lst:
+            in_edges[cell].append((quantize_key(v), con_base + k))
+    for k, lst in enumerate(con_nbrs):
+        for cell, v in lst:
+            in_edges[con_base + k].append((quantize_key(v), cell))
+
+    cur = canonical_labels(colors, [])[0]
+    # at most one strict refinement per node, plus the confirming round
+    for rounds_used in range(1, len(colors) + 2):
+        sigs = [(cur[x], tuple(sorted((ec, cur[src]) for ec, src in in_edges[x])))
+                for x in range(len(cur))]
+        nxt = canonical_labels(sigs, [])[0]
+        if nxt == cur:
+            break
+        cur = nxt
+    pv, pc = canonical_labels(cur[:n_var], cur[con_base:con_base + m])
+    return Partition(var=np.array(pv, dtype=np.int64).reshape(n, n),
+                     con=np.array(pc, dtype=np.int64), rounds=rounds_used)
+
+
+def set_refines(p, q) -> bool:
+    """``colors.refines`` by sets: ``p`` refines ``q`` iff no class of
+    ``p`` pairs with two classes of ``q``."""
+    return all(len(set(zip(a.flat, b.flat))) == len(set(a.flat))
+               for a, b in ((p.var, q.var), (p.con, q.con)))
 
 
 def reference_coo(inst):

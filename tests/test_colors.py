@@ -34,6 +34,7 @@ from oracles import (
     reference_run_to_stable,
     reference_step,
     reference_vcwl_then_multiset_fwl,
+    set_refines,
 )
 from test_core import operator_instances
 
@@ -272,3 +273,19 @@ def test_intern_rows_ids_equal_the_lexsort_oracle(table):
     got = _intern_rows(table)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, lexsort_intern_rows(table))
+
+
+def test_refines_matches_the_set_oracle():
+    seen = set()
+    for inst in sample_instances(4, per_generator=1, n_lo=3, n_hi=7):
+        state = init_colors(inst)
+        parts = [Partition(var=state.var_colors, con=state.con_colors, rounds=0)]
+        parts += [run_to_stable(algo, inst)[0] for algo in ALL_ALGOS]
+        parts.append(Partition(var=np.zeros((inst.n, inst.n), dtype=np.int64),
+                               con=np.zeros(inst.m, dtype=np.int64), rounds=0))
+        for p in parts:
+            for q in parts:
+                got = refines(p, q)
+                assert got == set_refines(p, q), (inst.n, inst.m)
+                seen.add(got)
+    assert seen == {True, False}

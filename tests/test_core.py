@@ -239,6 +239,21 @@ def test_instance_validation():
         SdpInstance(n=2, C=np.eye(2), A=prop32().A, b=[1.0, 1.0])
 
 
+def test_hand_built_matrices_go_through_the_coordinate_check():
+    # SparseSymMatrix's own constructor checks nothing; the instance does
+    repeated = SparseSymMatrix(n=2, rows=np.array([1, 1]), cols=np.array([0, 0]),
+                               vals=np.array([1.0, 2.0]))
+    with pytest.raises(ShapeError, match="duplicate coordinate"):
+        SdpInstance(n=2, C=np.eye(2), A=(repeated,), b=[1.0])
+    lower = SparseSymMatrix(n=3, rows=np.array([2]), cols=np.array([0]),
+                            vals=np.array([1.5]))
+    inst = SdpInstance(n=3, C=np.eye(3), A=(lower,), b=[1.0])
+    k, i, j, v = inst.table
+    assert (k.tolist(), i.tolist(), j.tolist(), v.tolist()) == ([0], [0], [2], [1.5])
+    assert inst.A[0] == SparseSymMatrix.from_coords(3, [(2, 0, 1.5)])
+    assert read_sdpa(write_sdpa(inst)) == inst
+
+
 def test_non_finite_data_rejected():
     with pytest.raises(NonFiniteError):
         SparseSymMatrix.from_coords(2, [(0, 1, np.nan)])

@@ -100,3 +100,20 @@ def test_failing_property_test_fails_alone(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "1 failed" in proc.stdout and "INTERNALERROR" not in proc.stdout
+
+
+SCIPY_IMPORTS = """
+import importlib, pkgutil, sys
+import sdpxlab
+for mod in pkgutil.iter_modules(sdpxlab.__path__):
+    importlib.import_module("sdpxlab." + mod.name)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_importing_the_package_does_not_import_scipy():
+    # the runtime needs numpy alone, and import time is part of set-up cost
+    proc = subprocess.run([sys.executable, "-c", SCIPY_IMPORTS], cwd=ROOT / "src",
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
