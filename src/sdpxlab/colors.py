@@ -1,20 +1,22 @@
 """Color refinement over SDP variable cells and constraint nodes.
 
 Six refinement algorithms share one synchronous round on int64 color
-arrays (dense ids 0..K-1 per namespace).  Each round gives every cell a
-fixed-width signature row: its color, the columns of its algorithm's
-builder in ``_SIGNATURES``, and the id of its multiset of (A_kij, color
-of k); each constraint gets its color and its multiset of (A_kij, color
-of cell).  One stable ``argsort`` interns the rows, each written as one
-byte string by ``core.order_keys`` that compares like the row's values
-in lexicographic order, however wide the row is (equal rows, equal ids:
-exact, no hashing); the ordered-update variants intern only the rows of
-the upper triangle and give cell (j, i) the id of (i, j).  Multisets are
-interned one size at a time in disjoint id ranges, never padded to the
-largest size.  Coefficients come from ``SdpInstance.int_view``, built
-once per instance with the 12-digit quantization of core.quantize_key.
-``tests/oracles.py`` keeps the column-by-column ``np.lexsort`` interning
-and the pure-Python refinement this replaced as differential oracles.
+arrays.  Each round gives every cell a fixed-width signature row: its
+color, its algorithm's columns from ``_SIGNATURES``, and the id of its
+multiset of (A_kij, color of k); each constraint gets its color and its
+multiset of (A_kij, color of cell).  One stable ``argsort`` of the rows'
+``core.order_keys`` interns them exactly; ordered-update variants intern
+the upper triangle and copy it to (j, i).  Multisets are interned one
+size at a time, never padded.  ``run_to_stable_many`` sorts its
+instances by n and refines batches of up to ``_BATCH_CELLS`` padded
+cells (B, N, N) in one round loop each.  Round-0 rows start with the
+instance index and later rows with the previous color, so no color joins
+two instances.  Padded cells hold a sentinel above every real id, never
+interned, that each real cell of an instance meets equally often, so it
+splits no class.  Coefficients come from ``SdpInstance.int_view``, built
+once per instance.  ``tests/oracles.py`` keeps the column-by-column
+``np.lexsort`` interning and the pure-Python refinement this replaced as
+differential oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import SdpInstance, ShapeError, StabilizationError, order_keys
+from .core import SdpInstance, ShapeError, StabilizationError, _segment_groups, order_keys
 
 
 class Algo(str, Enum):
@@ -135,40 +137,38 @@ def _multiset_ids(codes: np.ndarray, groups) -> np.ndarray:
     return out
 
 
-# --- signature builders: (n, n) colors -> (n, n, width) int64 columns ---
+# --- signature builders: (..., N, N) colors -> (..., N, N, width) int64 ---
 
 def _row_col_ids(V, view):
     """Ids of the sorted column j and the sorted row i of cell (i, j)."""
-    n = len(V)
-    ids = _intern_rows(np.sort(np.concatenate([V, V.T]), axis=1))
-    return np.stack(np.broadcast_arrays(ids[None, n:], ids[:n, None]), axis=-1)
+    n = V.shape[-1]
+    rows = np.sort(np.concatenate([V, np.swapaxes(V, -1, -2)], axis=-2), axis=-1)
+    ids = _intern_rows(rows.reshape(-1, n)).reshape(V.shape[:-2] + (2 * n,))
+    return np.stack(np.broadcast_arrays(ids[..., None, n:], ids[..., :n, None]), axis=-1)
 
 
 def _pair_codes(V, ordered: bool):
     """Multiset over u of the pair (V[u, j], V[i, u]) of cell (i, j) as
     codes sorted along the last axis; unordered pairs unless ``ordered``."""
     K = _n_ids(V)
-    col, row = V.T[None, :, :], V[:, None, :]
-    if ordered:
-        codes = col * K + row
-    else:
-        codes = np.minimum(col, row) * K + np.maximum(col, row)
-    return np.sort(codes, axis=2)
+    col, row = np.swapaxes(V, -1, -2)[..., None, :, :], V[..., :, None, :]
+    codes = col * K + row if ordered else np.minimum(col, row) * K + np.maximum(col, row)
+    return np.sort(codes, axis=-1)
 
 
 def _delta_codes(V, view):
     """Multisets over u of (V[u, j], adj[i, u]) and of (V[i, u], adj[j, u])."""
     adj = view.adj
-    first = V.T[None, :, :] * 2 + adj[:, None, :]
-    second = V[:, None, :] * 2 + adj[None, :, :]
-    return np.concatenate([np.sort(first, axis=2), np.sort(second, axis=2)], axis=2)
+    first = np.swapaxes(V, -1, -2)[..., None, :, :] * 2 + adj[..., :, None, :]
+    second = V[..., :, None, :] * 2 + adj[..., None, :, :]
+    return np.concatenate([np.sort(first, axis=-1), np.sort(second, axis=-1)], axis=-1)
 
 
 def _ign_columns(V, view):
     """The row and column ids plus the colors of (i, i) and (j, j)."""
-    d = np.diagonal(V)
-    diag = np.stack(np.broadcast_arrays(d[:, None], d[None, :]), axis=-1)
-    return np.concatenate([_row_col_ids(V, view), diag], axis=2)
+    d = np.diagonal(V, axis1=-2, axis2=-1)
+    diag = np.stack(np.broadcast_arrays(d[..., :, None], d[..., None, :]), axis=-1)
+    return np.concatenate([_row_col_ids(V, view), diag], axis=-1)
 
 
 _SIGNATURES = {
@@ -180,32 +180,70 @@ _SIGNATURES = {
     Algo.VC2IGNWL: _ign_columns,
 }
 
+_BATCH_CELLS = 1024  # padded cells (instances x N^2) of one run_to_stable_many batch
+
+
+class _Batch:
+    """Instances refined together, their ``coo`` entries at offset cells
+    and constraints; ``IntView`` ids stay per instance, paired with colors."""
+
+    def __init__(self, insts):
+        self.ns, self.ms = (np.array([getattr(s, f) for s in insts]) for f in "nm")
+        B, N = len(insts), int(self.ns.max())
+        self.shape, self.con_start = (B, N, N), np.cumsum(self.ms) - self.ms
+        b, i, j = np.indices(self.shape).reshape(3, -1)
+        real = (i < self.ns[b]) & (j < self.ns[b])
+        self.real, self.upper = np.flatnonzero(real), np.flatnonzero(real & (i <= j))
+        self.mirror = ((b * N + j) * N + i)[self.upper]
+        self.cell_inst, self.con_inst = b[self.real], np.repeat(np.arange(B), self.ms)
+        self.diag = (i == j)[self.real]
+        self.k = np.concatenate([s.coo[0] + o for s, o in zip(insts, self.con_start)])
+        self.cell = np.concatenate([(t * N + s.coo[1] // s.n) * N + s.coo[1] % s.n
+                                    for t, s in enumerate(insts)])
+        views = [s.int_view for s in insts]
+        self.C, self.A, self.b, adj = (np.concatenate([getattr(v, f).reshape(-1) for v in views])
+                                       for f in ("C", "A", "b", "adj"))
+        self.adj = np.zeros(self.shape, dtype=bool)
+        self.adj.reshape(-1)[self.real] = adj
+        self.by_cell = _segment_groups(self.cell, len(b), np.argsort(self.cell, kind="stable"))
+        self.by_con = _segment_groups(self.k, len(self.con_inst), np.arange(len(self.k)))
+
+    def cells(self, ids, at, mirror) -> np.ndarray:
+        """(B, N, N) colors: ``ids`` at ``at`` and ``mirror``, else the sentinel."""
+        var = np.full(self.shape, _n_ids(ids), dtype=np.int64)
+        var.reshape(-1)[at] = var.reshape(-1)[mirror] = ids
+        return var
+
+    def init(self) -> tuple[np.ndarray, np.ndarray]:
+        """Round-0 colors from (C_ij, diagonal flag) and b_k."""
+        var = _intern_rows(np.stack([self.cell_inst, self.C, self.diag], axis=1))
+        con = _intern_rows(np.stack([self.con_inst, self.b], axis=1))
+        return self.cells(var, self.real, self.real), con
+
+    def refine(self, algo: Algo, var, con) -> tuple[np.ndarray, np.ndarray]:
+        """One round of ``algo`` on (B, N, N) and (M,) colors."""
+        cell_sets = _multiset_ids(self.A * _n_ids(con) + con[self.k], self.by_cell)
+        table = np.concatenate([var[..., None], _SIGNATURES[algo](var, self),
+                                cell_sets.reshape(var.shape + (1,))], axis=3)
+        at, mirror = (self.upper, self.mirror) if algo in SYMMETRIZED_ALGOS else (self.real,) * 2
+        rows = table.reshape(var.size, -1)  # every cell is real: no copy
+        new_var = self.cells(_intern_rows(rows if at.size == var.size else rows[at]), at, mirror)
+        con_sets = _multiset_ids(self.A * _n_ids(var) + var.reshape(-1)[self.cell], self.by_con)
+        return new_var, _intern_rows(np.stack([con, con_sets], axis=1))
+
+    def class_counts(self, var, con) -> np.ndarray:
+        """Cell plus constraint classes of each instance."""
+        ids = var.reshape(-1)[self.real]
+        ids = np.concatenate([ids, _n_ids(ids) + con])
+        owner_of_id = np.zeros(_n_ids(ids), dtype=np.int64)
+        owner_of_id[ids] = np.concatenate([self.cell_inst, self.con_inst])
+        return np.bincount(owner_of_id, minlength=len(self.ns))
+
 
 def init_colors(inst: SdpInstance) -> ColorState:
     """Round-0 colors from (C_ij, diagonal flag) and b_k."""
-    view, n = inst.int_view, inst.n
-    table = np.stack([view.C.reshape(-1), np.eye(n, dtype=np.int64).reshape(-1)], axis=1)
-    return ColorState(round=0, var_colors=_intern_rows(table).reshape(n, n),
-                      con_colors=_intern_rows(view.b[:, None]), algo=None)
-
-
-def _refine(algo: Algo, inst: SdpInstance, var: np.ndarray,
-            con: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One round of ``algo`` on dense (n, n) and (m,) colors."""
-    view, (k, cell, _) = inst.int_view, inst.coo
-    n = inst.n
-    cell_sets = _multiset_ids(view.A * _n_ids(con) + con[k], view.by_cell)
-    table = np.concatenate([var[:, :, None], _SIGNATURES[algo](var, view),
-                            cell_sets.reshape(n, n, 1)], axis=2)
-    if algo in SYMMETRIZED_ALGOS:
-        upper = np.triu_indices(n)
-        new_var = np.empty((n, n), dtype=np.int64)
-        new_var[upper] = new_var.T[upper] = _intern_rows(table[upper])
-    else:
-        new_var = _intern_rows(table.reshape(n * n, -1)).reshape(n, n)
-    con_sets = _multiset_ids(view.A * _n_ids(var) + var.reshape(-1)[cell], view.by_con)
-    new_con = _intern_rows(np.stack([con, con_sets], axis=1))
-    return new_var, new_con
+    var, con = _Batch([inst]).init()
+    return ColorState(round=0, var_colors=var[0], con_colors=con, algo=None)
 
 
 def step(algo: Algo, state: ColorState, inst: SdpInstance) -> ColorState:
@@ -215,8 +253,8 @@ def step(algo: Algo, state: ColorState, inst: SdpInstance) -> ColorState:
         raise ShapeError(f"state was produced by {state.algo}, not {algo}")
     if state.var_colors.shape != (inst.n, inst.n) or len(state.con_colors) != inst.m:
         raise ShapeError("state does not match instance dimensions")
-    var, con = _refine(algo, inst, state.var_colors, state.con_colors)
-    return ColorState(round=state.round + 1, var_colors=var, con_colors=con, algo=algo)
+    var, con = _Batch([inst]).refine(algo, state.var_colors[None], state.con_colors)
+    return ColorState(round=state.round + 1, var_colors=var[0], con_colors=con, algo=algo)
 
 
 def _assert_monotone(old: Partition, new: Partition) -> None:
@@ -235,6 +273,52 @@ def _round_bound(inst: SdpInstance) -> int:
     return inst.n * inst.n + inst.m + 1
 
 
+def _stabilize(algo: Algo, insts, max_rounds: int | None) -> list[tuple[Partition, int]]:
+    """``run_to_stable`` of each instance of one ``_Batch``."""
+    batch = _Batch(insts)
+    budget = max(map(_round_bound, insts)) if max_rounds is None else max_rounds
+    var, con = batch.init()
+    count = batch.class_counts(var, con)
+    out = [None] * len(insts)
+    for rounds_used in range(1, budget + 1):
+        new_var, new_con = batch.refine(algo, var, con)
+        _assert_monotone(Partition(var, con, 0), Partition(new_var, new_con, 0))
+        new_count = batch.class_counts(new_var, new_con)
+        # a refinement with as many classes is the same partition
+        for t in np.flatnonzero(new_count == count).tolist():
+            if out[t] is None:
+                n, s = batch.ns[t], batch.con_start[t]
+                part = _partition(var[t, :n, :n], con[s:s + batch.ms[t]], rounds_used)
+                out[t] = part, rounds_used
+        if None not in out:
+            return out
+        var, con, count = new_var, new_con, new_count
+    if max_rounds is not None:
+        raise RoundBudgetError(
+            f"{algo.value} did not stabilize within max_rounds={max_rounds}")
+    raise StabilizationError(
+        f"{algo} did not stabilize within {budget} rounds (impossible for "
+        "a monotone step; treat as a bug)")
+
+
+def run_to_stable_many(algo: Algo, instances,
+                       max_rounds: int | None = None) -> list[tuple[Partition, int]]:
+    """``run_to_stable`` of each instance, in order.  A batch ends its
+    round loop once every instance's class count has stopped growing."""
+    algo = Algo(algo)
+    if max_rounds is not None and max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
+    batches = []
+    for t in sorted(range(len(instances)), key=lambda t: instances[t].n):
+        # n ascends, so a batch of k pads to k * (its last n)^2 cells
+        if not batches or (len(batches[-1]) + 1) * instances[t].n ** 2 > _BATCH_CELLS:
+            batches.append([])
+        batches[-1].append(t)
+    out = {t: res for batch in batches
+           for t, res in zip(batch, _stabilize(algo, [instances[t] for t in batch], max_rounds))}
+    return [out[t] for t in range(len(instances))]
+
+
 def run_to_stable(algo: Algo, inst: SdpInstance,
                   max_rounds: int | None = None) -> tuple[Partition, int]:
     """Iterate ``step`` until the joint partition stops refining.
@@ -243,27 +327,9 @@ def run_to_stable(algo: Algo, inst: SdpInstance,
     rounds executed (the final round is the one that confirmed
     stability).  ``max_rounds`` defaults to ``_round_bound(inst)``, which
     no monotone refinement can exhaust; a smaller ``max_rounds`` that runs
-    out raises ``RoundBudgetError``.
+    out raises ``RoundBudgetError``.  A ``run_to_stable_many`` of one.
     """
-    algo = Algo(algo)
-    if max_rounds is not None and max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    budget = _round_bound(inst) if max_rounds is None else max_rounds
-    state = init_colors(inst)
-    var, con = state.var_colors, state.con_colors
-    for rounds_used in range(1, budget + 1):
-        new_var, new_con = _refine(algo, inst, var, con)
-        _assert_monotone(Partition(var, con, 0), Partition(new_var, new_con, 0))
-        # a refinement with as many classes is the same partition
-        if _n_ids(new_var) + _n_ids(new_con) == _n_ids(var) + _n_ids(con):
-            return _partition(var, con, rounds_used), rounds_used
-        var, con = new_var, new_con
-    if max_rounds is not None:
-        raise RoundBudgetError(
-            f"{algo.value} did not stabilize within max_rounds={max_rounds}")
-    raise StabilizationError(
-        f"{algo} did not stabilize within {budget} rounds (impossible for "
-        "a monotone step; treat as a bug)")
+    return run_to_stable_many(algo, [inst], max_rounds)[0]
 
 
 def refines(p: Partition, q: Partition) -> bool:

@@ -409,11 +409,14 @@ def _check_side(inst: SdpInstance, X: np.ndarray) -> np.ndarray:
 
 def apply_A(inst: SdpInstance, X) -> np.ndarray:
     """Evaluate the constraint map: component k is <A_k, X>."""
-    X = _check_side(inst, X)
-    k, cell, val = inst.coo
+    return apply_A_entries(inst, _check_side(inst, X).reshape(-1)[inst.coo[1]])
+
+
+def apply_A_entries(inst: SdpInstance, x) -> np.ndarray:
+    """``apply_A`` of an X given by its values ``x`` at the ``coo`` cells."""
+    k, _, val = inst.coo
     # bincount gives int64 on empty input (m = 0, or all entries zero)
-    out = np.bincount(k, val * X.reshape(-1)[cell], minlength=inst.m)
-    return out.astype(np.float64, copy=False)
+    return np.bincount(k, val * x, minlength=inst.m).astype(np.float64, copy=False)
 
 
 def apply_A_adjoint(inst: SdpInstance, y) -> np.ndarray:

@@ -16,9 +16,11 @@ and y travelled since the last restart, once the fixed-point residual has
 fallen to a fifth of its value at the start of the restart period.
 lambda_max is estimated once per instance, so restarts and continuation
 stages share it.  Each step does one eigendecomposition, for the
-projection; the dual residual of the stopping test needs only the
-eigenvalues of the slack.  ``solve(inst, cfg, X0=, y0=, omega=)``
-warm-starts from a given primal/dual pair and primal weight.
+projection of its exactly symmetric argument, and gathers X' at the
+``coo`` cells once for A(X' + (X' - X)) and A(X'); the dual residual of
+the stopping test needs only the eigenvalues of the slack.
+``solve(inst, cfg, X0=, y0=, omega=)`` warm-starts from a given
+primal/dual pair and primal weight.
 Minimum-Frobenius-norm solutions are obtained by warm-started continuation
 over the shrinking regularization ladder eps = 1e-2, 1e-4, 1e-6.  Each
 ladder stage stops at its own eps (``stage_tol``: tolerances 1e-2, 1e-4
@@ -44,6 +46,7 @@ from .core import (
     SolutionTriple,
     apply_A,
     apply_A_adjoint,
+    apply_A_entries,
     objective,
     symmetrize,
 )
@@ -132,7 +135,11 @@ class PdhgStats:
 
 def project_psd(M) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm: drop negative eigen-pairs."""
-    arr = symmetrize(M)
+    return _psd_part(symmetrize(M))
+
+
+def _psd_part(arr: np.ndarray) -> np.ndarray:
+    """``project_psd`` of an exactly symmetric float64 matrix."""
     diag = np.diagonal(arr)
     if np.count_nonzero(arr) == np.count_nonzero(diag):
         # diagonal input: clamp, exactly
@@ -207,29 +214,34 @@ def iterates(inst: SdpInstance, eps: float, X0=None, y0=None, omega: float = 1.0
     lam = inst.lambda_max
     alpha = omega / math.sqrt(lam)
     Aty = apply_A_adjoint(inst, y)
+    cell = inst.coo[1]
+    x = X.reshape(-1)[cell]  # X at the coo cells, gathered once per step
     t = restarts = 0
     r0 = None  # fp_res of the first step since the last restart
     while True:
         t += 1
         beta = RHO / (alpha * lam)
+        # exactly symmetric, as X, C and A*(y) (mirrored coo entries) are
         Z = (X - alpha * (Aty + inst.C)) / (1.0 + alpha * eps)
-        if not np.all(np.isfinite(Z)):
+        if not np.isfinite(Z).all():
             raise DivergenceError(f"non-finite iterate at t={t}")
-        Xn = project_psd(Z)
-        yn = y + beta * (apply_A(inst, Xn + (Xn - X)) - inst.b)
-        if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(yn))):
+        Xn = _psd_part(Z)
+        xn = Xn.reshape(-1)[cell]
+        yn = y + beta * (apply_A_entries(inst, xn + (xn - x)) - inst.b)
+        if not (np.isfinite(Xn).all() and np.isfinite(yn).all()):
             raise DivergenceError(f"non-finite iterate at t={t}")
         dX, dy = Xn - X, yn - y
-        dx_norm = float(np.linalg.norm(dX))
-        step_res = dx_norm / max(1.0, float(np.linalg.norm(X)))
-        primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if m else 0.0
+        dv, xv = dX.reshape(-1), X.reshape(-1)  # np.linalg.norm is sqrt(v.dot(v))
+        dx_norm = math.sqrt(dv.dot(dv))
+        step_res = dx_norm / max(1.0, math.sqrt(xv.dot(xv)))
+        primal = float(np.abs(apply_A_entries(inst, xn) - inst.b).max()) if m else 0.0
         Atyn = apply_A_adjoint(inst, yn)
         # |(dX, dy)|^2 in the metric [[I/a, -A*], [-A, I/b]], positive
         # definite since a*b*lambda_max = RHO < 1
         fp2 = (dx_norm * dx_norm / alpha + float(dy @ dy) / beta
                - 2.0 * float(np.einsum("ij,ij->", Atyn - Aty, dX)))
         fp_res = math.sqrt(max(fp2, 0.0))
-        X, y, Aty = Xn, yn, Atyn
+        X, y, Aty, x = Xn, yn, Atyn, xn
         yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal,
                         step_res=step_res, fp_res=fp_res, omega=omega,
                         restarts=restarts)

@@ -10,7 +10,6 @@ an independent oracle or cross-implementation check).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .colors import (
     joint_encoding_stable,
     refines,
     run_to_stable,
+    run_to_stable_many,
     step,
     vcwl_then_multiset_fwl,
 )
@@ -345,15 +345,19 @@ def _classes(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
 
 
-def _class_spread(values: np.ndarray, classes) -> float:
-    """Largest max - min of ``values`` along axis 0 over the positions of
-    one class of ``_classes`` (0.0 without positions)."""
+def _class_spreads(values: np.ndarray, classes) -> np.ndarray:
+    """Largest max - min of ``values`` along the last axis over the
+    positions of one class of ``_classes``, for each leading index (0.0
+    without positions)."""
     order, starts = classes
     if not len(order):
-        return 0.0
-    rows = values[order]
-    return float(np.max(np.maximum.reduceat(rows, starts)
-                        - np.minimum.reduceat(rows, starts)))
+        return np.zeros(values.shape[:-1])
+    rows = values[..., order]
+    return (np.maximum.reduceat(rows, starts, axis=-1)
+            - np.minimum.reduceat(rows, starts, axis=-1)).max(axis=-1)
+
+
+_TRAJECTORY_BLOCK = 64  # iterations whose spreads are checked together
 
 
 def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
@@ -362,23 +366,29 @@ def check_trajectory_refinement(inst: SdpInstance, iters: int = 500,
 
     The stable joint-pair coloring is computed first; the solver then runs
     from zero and at every iteration the max spread of X (resp. y) over
-    each color class must stay below 1e-7 relative.  A failure reports the
-    iteration and the largest spread of the block that exceeded its bound.
+    each color class must stay below 1e-7 relative, checked per block of
+    ``_TRAJECTORY_BLOCK`` iterations.  A failure reports the first
+    iteration over its bound (X before y) and its largest spread.
     """
     part, _ = run_to_stable(Algo.VC2FWL, inst)
     expected = {"max_relative_spread": _exp(1e-7, "DERIVED")}
-    worst = 0.0
-    var_classes, con_classes = _classes(part.var.reshape(-1)), _classes(part.con)
-    for state in islice(iterates(inst, PdhgConfig.eps), iters):
-        for key, values, classes in (("spread", state.X.reshape(-1), var_classes),
-                                     ("y_spread", state.y, con_classes)):
-            bound = 1e-7 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
-            spread = _class_spread(values, classes)
-            worst = max(worst, spread / bound * 1e-7)
-            if spread > bound:
-                return CaseReport(case_id, False,
-                                  {"iteration": state.t, key: spread, "bound": bound},
-                                  expected=expected)
+    keys, classes = ("spread", "y_spread"), (_classes(part.var.reshape(-1)), _classes(part.con))
+    rows = tuple(np.empty((_TRAJECTORY_BLOCK, w)) for w in (inst.n * inst.n, inst.m))
+    steps, worst = iterates(inst, PdhgConfig.eps), 0.0
+    for start in range(0, iters, _TRAJECTORY_BLOCK):
+        block = range(start, min(start + _TRAJECTORY_BLOCK, iters))
+        for t, state in zip(block, steps):
+            rows[0][t - start], rows[1][t - start] = state.X.reshape(-1), state.y
+        values = [r[:len(block)] for r in rows]
+        bounds = np.stack([1e-7 * np.maximum(1.0, np.abs(v).max(axis=1, initial=0.0))
+                           for v in values], axis=1)
+        spreads = np.stack([_class_spreads(v, c) for v, c in zip(values, classes)], axis=1)
+        over = np.flatnonzero(spreads > bounds)
+        if over.size:
+            r, w = divmod(int(over[0]), 2)
+            return CaseReport(case_id, False, {"iteration": start + r + 1, keys[w]: float(
+                spreads[r, w]), "bound": float(bounds[r, w])}, expected=expected)
+        worst = max(worst, float((spreads / bounds * 1e-7).max()))
     return CaseReport(case_id, True,
                       {"iterations": iters, "worst_relative_spread": worst},
                       expected=expected, tolerance={"relative_spread": 1e-7})
@@ -416,10 +426,10 @@ def check_hierarchy(instances) -> CaseReport:
         "2wl_refines_vcwl": (Algo.VC2WL, Algo.VCWL),
         "delta_refines_2wl": (Algo.DELTA_VC2WL, Algo.VC2WL),
     }
-    violations = {name: 0 for name in relations}
-    violations["ignwl_equals_2wl"] = 0
-    for inst in instances:
-        parts = {algo: run_to_stable(algo, inst)[0] for algo in _HIERARCHY_ALGOS}
+    violations = dict.fromkeys([*relations, "ignwl_equals_2wl"], 0)
+    batches = {algo: run_to_stable_many(algo, instances) for algo in _HIERARCHY_ALGOS}
+    for t in range(len(instances)):
+        parts = {algo: batch[t][0] for algo, batch in batches.items()}
         for name, (fine, coarse) in relations.items():
             if not refines(parts[fine], parts[coarse]):
                 violations[name] += 1
@@ -433,14 +443,9 @@ def check_hierarchy(instances) -> CaseReport:
 
 def check_aux_graph(instances) -> CaseReport:
     """Auxiliary-graph 1-WL partitions match the direct implementation."""
-    mismatches = 0
-    for inst in instances:
-        direct, _ = run_to_stable(Algo.VC2FWL, inst)
-        aux = aux_graph_stable(inst)
-        if aux != direct:
-            mismatches += 1
-    ok = mismatches == 0
-    return CaseReport("aux_graph", ok,
+    direct = run_to_stable_many(Algo.VC2FWL, instances)
+    mismatches = sum(aux_graph_stable(s) != part for s, (part, _) in zip(instances, direct))
+    return CaseReport("aux_graph", mismatches == 0,
                       {"instances": len(instances), "mismatches": mismatches},
                       expected={"mismatches": _exp(0, "DERIVED")})
 
@@ -465,26 +470,25 @@ def check_color_equivariance(instances, seed: int = 0) -> CaseReport:
     """Stable partitions permute with the instance (transpose-invariant
     algorithms) and ignore constraint order (every algorithm)."""
     rng = np.random.default_rng(seed)
-    failures = 0
-    checked = 0
-    for inst in instances:
-        perm = rng.permutation(inst.n).tolist()
-        cperm = rng.permutation(inst.m).tolist()
-        permuted = permute_instance(inst, perm)
-        reordered = reorder_constraints(inst, cperm)
-        for algo in _HIERARCHY_ALGOS:
-            checked += 1
-            base, _ = run_to_stable(algo, inst)
-            if algo in _EQUIVARIANT_ALGOS:
-                pp, _ = run_to_stable(algo, permuted)
+    perms = [(rng.permutation(inst.n).tolist(), rng.permutation(inst.m).tolist())
+             for inst in instances]
+    reordered = [reorder_constraints(inst, cperm) for inst, (_, cperm) in zip(instances, perms)]
+    permuted = [permute_instance(inst, perm) for inst, (perm, _) in zip(instances, perms)]
+    failures, B = 0, len(instances)
+    for algo in _HIERARCHY_ALGOS:
+        equivariant = algo in _EQUIVARIANT_ALGOS
+        batch = [*instances, *reordered, *(permuted if equivariant else ())]
+        parts = [part for part, _ in run_to_stable_many(algo, batch)]
+        for t, (perm, cperm) in enumerate(perms):
+            base, pr = parts[t], parts[B + t]
+            if equivariant:
+                pp = parts[2 * B + t]
                 if not _relabels_to(base, pp.var[np.ix_(perm, perm)], pp.con):
                     failures += 1
                     continue
-            pr, _ = run_to_stable(algo, reordered)
-            if not _relabels_to(base, pr.var, pr.con[cperm]):
-                failures += 1
-    ok = failures == 0
-    return CaseReport("equivariance", ok, {"checked": checked, "failures": failures},
+            failures += not _relabels_to(base, pr.var, pr.con[cperm])
+    return CaseReport("equivariance", failures == 0,
+                      {"checked": B * len(_HIERARCHY_ALGOS), "failures": failures},
                       expected={"failures": _exp(0, "PAPER")})
 
 
@@ -511,9 +515,9 @@ def _respects_coloring(arch: Arch, inst: SdpInstance, states) -> bool:
     for t, st in enumerate(states):
         if t:
             wl = step(algo, wl, inst)
-        if (_class_spread(st.var.reshape(-1, st.var.shape[-1]),
-                          _classes(wl.var_colors.reshape(-1))) != 0.0
-                or _class_spread(st.con, _classes(wl.con_colors)) != 0.0):
+        if (_class_spreads(st.var.reshape(-1, st.var.shape[-1]).T,
+                           _classes(wl.var_colors.reshape(-1))).max() != 0.0
+                or _class_spreads(st.con.T, _classes(wl.con_colors)).max() != 0.0):
             return False
     return True
 

@@ -221,6 +221,62 @@ def reference_iterates(inst, eps: float, X0=None, y0=None, omega: float = 1.0):
             omega = sent
 
 
+def reference_pdhg_iterates(inst, eps: float, X0=None, y0=None, omega: float = 1.0):
+    """``pdhg.iterates`` as it stood before its step skipped the input
+    symmetrization of the projection and gathered X at the ``coo`` cells
+    once per step: ``project_psd`` of Z, ``apply_A`` of Xn + (Xn - X) and
+    of Xn, and ``np.linalg.norm``.  Yields the same ``PdhgState``s."""
+    from sdpxlab.core import DivergenceError, ShapeError, apply_A, apply_A_adjoint
+    from sdpxlab.pdhg import RESTART_DECAY, RHO, PdhgState, project_psd
+
+    n, m = inst.n, inst.m
+    X = np.zeros((n, n)) if X0 is None else np.asarray(X0, dtype=np.float64)
+    y = np.zeros(m) if y0 is None else np.asarray(y0, dtype=np.float64)
+    if X.shape != (n, n) or y.shape != (m,):
+        raise ShapeError("start (X0, y0) has the wrong shape")
+    if not (0.0 < omega < math.inf):
+        raise ValueError(f"primal weight must be positive and finite, got {omega}")
+    anchor_X, anchor_y = X, y
+    if X0 is not None:
+        X = project_psd(X)
+    lam = inst.lambda_max
+    alpha = omega / math.sqrt(lam)
+    Aty = apply_A_adjoint(inst, y)
+    t = restarts = 0
+    r0 = None
+    while True:
+        t += 1
+        beta = RHO / (alpha * lam)
+        Z = (X - alpha * (Aty + inst.C)) / (1.0 + alpha * eps)
+        if not np.all(np.isfinite(Z)):
+            raise DivergenceError(f"non-finite iterate at t={t}")
+        Xn = project_psd(Z)
+        yn = y + beta * (apply_A(inst, Xn + (Xn - X)) - inst.b)
+        if not (np.all(np.isfinite(Xn)) and np.all(np.isfinite(yn))):
+            raise DivergenceError(f"non-finite iterate at t={t}")
+        dX, dy = Xn - X, yn - y
+        dx_norm = float(np.linalg.norm(dX))
+        step_res = dx_norm / max(1.0, float(np.linalg.norm(X)))
+        primal = float(np.max(np.abs(apply_A(inst, Xn) - inst.b))) if m else 0.0
+        Atyn = apply_A_adjoint(inst, yn)
+        fp2 = (dx_norm * dx_norm / alpha + float(dy @ dy) / beta
+               - 2.0 * float(np.einsum("ij,ij->", Atyn - Aty, dX)))
+        fp_res = math.sqrt(max(fp2, 0.0))
+        X, y, Aty = Xn, yn, Atyn
+        yield PdhgState(X=X, y=y, Aty=Aty, t=t, primal_res=primal,
+                        step_res=step_res, fp_res=fp_res, omega=omega,
+                        restarts=restarts)
+        if r0 is None:
+            r0 = fp_res
+        if 0.0 < r0 and fp_res <= RESTART_DECAY * r0:
+            dist_X = float(np.linalg.norm(X - anchor_X))
+            dist_y = float(np.linalg.norm(y - anchor_y))
+            if dist_X > 1e-10 and dist_y > 1e-10:
+                omega = math.exp(0.5 * math.log(dist_X / dist_y) + 0.5 * math.log(omega))
+            alpha = omega / math.sqrt(lam)
+            anchor_X, anchor_y, restarts, r0 = X, y, restarts + 1, None
+
+
 def _reference_stop(inst, eps, tol, kkt_stop, X, y, primal, step_res) -> bool:
     """The stopping test of ``pdhg.solve``, with the cone distance taken
     from a full projection of the slack."""

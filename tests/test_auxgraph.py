@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sdpxlab.auxgraph import aux_graph_stable
 from sdpxlab.colors import Algo, run_to_stable
 from sdpxlab.core import SdpInstance, SizeGuardError, SparseSymMatrix
+from sdpxlab.relaxations import lmi_sdp
 from sdpxlab.verify import (
     latin_square_instance,
     prop_diag_pair_instance,
@@ -84,3 +87,28 @@ def test_size_guard():
         aux_graph_stable(inst)
     # raised before the instance's quantized view is even built
     assert "int_view" not in vars(inst)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_coefficients_match_the_oracle_and_the_direct_refinement(seed):
+    # lmi_sdp draws its constraint coefficients at random, unlike the
+    # relaxations of sample_instances
+    for n, m in ((2, 0), (4, 1), (6, 3), (8, 3)):
+        inst = lmi_sdp(n, m, seed)
+        assert _assert_matches_oracle(inst) == run_to_stable(Algo.VC2FWL, inst)[0]
+
+
+def test_dense_constraint_does_not_widen_the_triple_rows():
+    n = 24
+    C = np.random.default_rng(0).integers(0, 3, (n, n)).astype(float)
+    inst = SdpInstance(n=n, C=C, A=(SparseSymMatrix.from_dense(np.ones((n, n))),), b=[1.0])
+    inst.int_view
+    tracemalloc.start()
+    try:
+        part = aux_graph_stable(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    ref = reference_aux_graph_stable(inst)
+    assert part == ref and part.rounds == ref.rounds

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sdpxlab.colors as colors_mod
 from sdpxlab.colors import (
     Algo,
     Partition,
@@ -15,11 +16,18 @@ from sdpxlab.colors import (
     joint_encoding_stable,
     refines,
     run_to_stable,
+    run_to_stable_many,
     step,
     vcwl_then_multiset_fwl,
 )
-from sdpxlab.core import ShapeError, SdpInstance, SparseSymMatrix
-from sdpxlab.relaxations import er_graph, maxcut_sdp, maxclique_sdp, vertexcover_sdp
+from sdpxlab.core import ShapeError, SdpInstance, SparseSymMatrix, permute_instance
+from sdpxlab.relaxations import (
+    er_graph,
+    lmi_sdp,
+    maxclique_sdp,
+    maxcut_sdp,
+    vertexcover_sdp,
+)
 from sdpxlab.verify import (
     latin_square_instance,
     pattern_matches,
@@ -289,3 +297,62 @@ def test_refines_matches_the_set_oracle():
                 assert got == set_refines(p, q), (inst.n, inst.m)
                 seen.add(got)
     assert seen == {True, False}
+
+
+def _batch_instances():
+    """Mixed n from 1 to 13, m = 0, a constraint without entries, random
+    coefficients, one instance twice and an instance with its permutation."""
+    g = er_graph(6, 0.5, 2)
+    twice = maxclique_sdp(g)
+    empty_con = SdpInstance(n=2, C=np.eye(2), b=[0.0, 1.0],
+                            A=(SparseSymMatrix.from_coords(2, []),
+                               SparseSymMatrix.from_coords(2, [(0, 1, 1.0)])))
+    return ([maxcut_sdp(er_graph(n, 0.5, n)) for n in range(1, 14)]
+            + [SdpInstance(n=3, C=[[1.0, 2, 0], [2, 1, 0], [0, 0, 3]], A=(), b=[]), empty_con,
+               twice, vertexcover_sdp(g), twice, permute_instance(twice, [3, 0, 5, 1, 4, 2]),
+               lmi_sdp(5, 3, 0), lmi_sdp(8, 3, 1), lmi_sdp(4, 2, 2)])
+
+
+@pytest.mark.parametrize("algo", ALL_ALGOS)
+def test_run_to_stable_many_matches_the_python_oracle(algo):
+    instances = _batch_instances()
+    for inst, (part, rounds) in zip(instances, run_to_stable_many(algo, instances),
+                                    strict=True):
+        ref, ref_rounds = reference_run_to_stable(algo, inst)
+        assert part == ref and rounds == ref_rounds == part.rounds, (inst.n, inst.m)
+
+
+def test_run_to_stable_many_splits_batches_at_the_cap(monkeypatch):
+    sizes = []
+    stabilize = colors_mod._stabilize
+
+    def recording(algo, insts, max_rounds):
+        sizes.append(len(insts) * max(inst.n for inst in insts) ** 2)
+        return stabilize(algo, insts, max_rounds)
+
+    monkeypatch.setattr(colors_mod, "_stabilize", recording)
+    # 7 instances at n = 12 fill 1008 of the 1024 cells: the eighth starts a batch
+    instances = [maxcut_sdp(er_graph(12, 0.5, s)) for s in range(8)] + _batch_instances()
+    for algo in (Algo.VC2FWL, Algo.VC2WL):
+        sizes.clear()
+        got = run_to_stable_many(algo, instances)
+        assert len(sizes) > 2 and max(sizes) <= colors_mod._BATCH_CELLS
+        for inst, res in zip(instances, got):
+            assert res == run_to_stable(algo, inst)
+    want = [run_to_stable(Algo.DELTA_VC2WL, inst) for inst in instances[8:]]
+    monkeypatch.setattr(colors_mod, "_BATCH_CELLS", 1)  # one instance per batch
+    sizes.clear()
+    assert run_to_stable_many(Algo.DELTA_VC2WL, instances[8:]) == want
+    assert len(sizes) == len(want)
+    assert run_to_stable_many(Algo.VCWL, []) == []
+
+
+def test_run_to_stable_many_round_budget():
+    instances = [prop32(), latin_square_instance(), maxcut_sdp(er_graph(7, 0.5, 9))]
+    rounds = [r for _, r in run_to_stable_many(Algo.VC2FWL, instances)]
+    assert run_to_stable_many(Algo.VC2FWL, instances, max_rounds=max(rounds)) == \
+        run_to_stable_many(Algo.VC2FWL, instances)
+    with pytest.raises(RoundBudgetError, match="vc2fwl did not stabilize"):
+        run_to_stable_many(Algo.VC2FWL, instances, max_rounds=max(rounds) - 1)
+    with pytest.raises(ValueError):
+        run_to_stable_many(Algo.VC2FWL, instances, max_rounds=0)

@@ -32,7 +32,7 @@ from sdpxlab.pdhg import (
     solve_continuation,
     stage_tol,
 )
-from sdpxlab.relaxations import er_graph, maxcut_sdp
+from sdpxlab.relaxations import er_graph, lp_to_sdp, maxcut_sdp
 from sdpxlab.verify import latin_square_instance, prop_diag_pair_instance, sample_instances
 
 from oracles import (
@@ -41,6 +41,7 @@ from oracles import (
     penalty_objective,
     reference_eig_sym,
     reference_iterates,
+    reference_pdhg_iterates,
     reference_project_psd,
     reference_restarted_solve,
     reference_solve,
@@ -304,6 +305,38 @@ def test_iterates_match_reference_loop():
             np.testing.assert_array_equal(state.X, X)
             np.testing.assert_array_equal(state.y, y)
             assert (state.t, state.restarts, state.omega) == (iters, restarts, omega)
+
+
+def _assert_same_states(got, want):
+    for a, b in zip(got, want, strict=True):
+        for field in ("X", "y", "Aty"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+        # a NaN residual (as past an overflow) equals a NaN
+        np.testing.assert_array_equal(
+            [a.t, a.primal_res, a.step_res, a.fp_res, a.omega, a.restarts],
+            [b.t, b.primal_res, b.step_res, b.fp_res, b.omega, b.restarts])
+
+
+def test_iterates_match_the_step_before_the_gather_bit_for_bit():
+    diagonal = lp_to_sdp([1.0, 2.0, 0.5], [[1.0, 1.0, 1.0]], [1.0])
+    for inst in sample_instances(0, 1) + [diagonal]:
+        X0 = np.random.default_rng(inst.n).standard_normal((inst.n, inst.n))  # not symmetric
+        for kwargs in ({}, {"X0": X0, "omega": 3.0}):
+            _assert_same_states(islice(iterates(inst, 1e-6, **kwargs), 300),
+                                islice(reference_pdhg_iterates(inst, 1e-6, **kwargs), 300))
+
+
+def test_iterates_diverge_at_the_same_step_as_before_the_gather():
+    # unbounded, with entries near the float64 limit: both overflow at t = 83
+    inst = SdpInstance(n=2, C=-1e306 * np.ones((2, 2)),
+                       A=(SparseSymMatrix.from_coords(2, [(0, 0, 1.0)]),), b=[1.0])
+    got, want = [], []
+    with np.errstate(all="ignore"):
+        for states, steps in ((got, iterates(inst, 1e-6)),
+                              (want, reference_pdhg_iterates(inst, 1e-6))):
+            with pytest.raises(DivergenceError, match="t=83"):
+                states.extend(steps)
+    _assert_same_states(got, want)
 
 
 def test_solve_matches_reference_loop():

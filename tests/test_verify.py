@@ -123,6 +123,37 @@ def test_trajectory_check_fails_when_classes_are_too_coarse(monkeypatch):
     assert report.to_json_dict() == want.to_json_dict()
 
 
+def test_trajectory_check_stops_in_the_first_failing_block(monkeypatch):
+    inst = maxcut_sdp(er_graph(6, 0.5, 1))
+    steps = []
+
+    def counted(*args, **kwargs):
+        for state in iterates(*args, **kwargs):
+            steps.append(state.t)
+            yield state
+
+    monkeypatch.setattr(verify_mod, "iterates", counted)
+    monkeypatch.setattr(verify_mod, "run_to_stable", _one_class)
+    report = check_trajectory_refinement(inst, iters=500)
+    assert not report.passed
+    assert len(steps) == verify_mod._TRAJECTORY_BLOCK >= report.observed["iteration"]
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("refined one instance at a time")
+
+
+def test_lattice_checks_refine_in_batches(monkeypatch):
+    # check_hierarchy, check_color_equivariance and check_aux_graph go
+    # through run_to_stable_many only
+    monkeypatch.setattr(colors_mod, "run_to_stable", _raise)
+    monkeypatch.setattr(verify_mod, "run_to_stable", _raise)
+    instances = sample_instances(5, per_generator=1, n_lo=3, n_hi=7)
+    for report in (check_hierarchy(instances), check_color_equivariance(instances, 5),
+                   check_aux_graph(instances)):
+        assert report.passed, (report.case_id, report.observed)
+
+
 def _perturbed_forward(arch, inst, d, n_layers, seed):
     """``forward`` plus a bump that depends on the cell and constraint
     index, which breaks every property that ``nn_deviations`` checks."""
